@@ -12,7 +12,7 @@ model used as an independent oracle.
 
 from __future__ import annotations
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 from .bayes import (
     CorrectionModel,
@@ -66,9 +66,6 @@ from .response import (
     QuadratureError,
     ResponseModel,
     calQ,
-    conditional_excitation,
-    f_fraction,
-    irreducible_integral,
     q_closed_accelerated,
     q_closed_inertial,
     q_direct,
@@ -77,7 +74,6 @@ from .schedule import (
     RepetitionSchedule,
     SwitchingProfile,
     bump,
-    chi_rm,
     default_schedule,
     max_repetitions,
     truncated_gaussian,
@@ -123,8 +119,6 @@ __all__ = [
     "born_string_prob",
     "bump",
     "calQ",
-    "chi_rm",
-    "conditional_excitation",
     "crossing_count",
     "cyclic_term_count",
     "default_schedule",
@@ -133,11 +127,9 @@ __all__ = [
     "enumerate_contraction_classes",
     "exact_step_probability",
     "exact_string_prob",
-    "f_fraction",
     "fapp_verdict",
     "iid_model",
     "inertial",
-    "irreducible_integral",
     "loose_bounds",
     "max_repetitions",
     "n_limit",

@@ -72,7 +72,7 @@ def _emit(rows, header, args, config) -> None:
             out.close()
 
 
-def _build_model(config: dict, seed: int) -> tuple[ResponseModel, WightmanKernel]:
+def _build_model(config: dict) -> tuple[ResponseModel, WightmanKernel]:
     det = config.get("detector", {})
     d = DetectorParams(omega=det.get("omega", 0.2), lam=det.get("lambda", 1e-2))
     wl = config.get("worldline", {"kind": "inertial"})
@@ -86,16 +86,7 @@ def _build_model(config: dict, seed: int) -> tuple[ResponseModel, WightmanKernel
         repetitions=sch.get("repetitions", 8),
         t_off_factor=sch.get("t_off_factor", 10.0),
     )
-    quad = config.get("quadrature", {})
-    model = ResponseModel(
-        kern,
-        sched,
-        d,
-        qmc_points=quad.get("qmc_points", 1 << 20),
-        gl_order=quad.get("gl_order", 32),
-        seed=seed,
-    )
-    return model, kern
+    return ResponseModel(kern, sched, d), kern
 
 
 def _cmd_transition(args, config):
@@ -118,7 +109,7 @@ def _cmd_transition(args, config):
 
 
 def _cmd_string_probs(args, config):
-    model, kern = _build_model(config, args.seed)
+    model, kern = _build_model(config)
     length = config.get("strings", {}).get("length", 4)
     q = model.q
     gp = GammaProfile.from_kernel(kern, model.schedule)
@@ -289,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
     return parser
 
 

@@ -89,11 +89,6 @@ class WightmanKernel:
         return -(a**2) / (4.0 * TWO_PI**2) / (sh * sh)
 
 
-def eval_kernel(k: WightmanKernel, s, epsilon: float | None = None):
-    """Functional alias for :meth:`WightmanKernel.value`."""
-    return k.value(s, epsilon)
-
-
 def extreme_point_value(k: WightmanKernel, schedule, i: int, j: int) -> float:
     """Correlator at the closest approach of two interaction intervals.
 

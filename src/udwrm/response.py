@@ -22,7 +22,6 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import erfc
-from scipy.stats import qmc
 
 from .combinatorics import ContractionClass, enumerate_contraction_classes
 from .kernel import WightmanKernel
@@ -55,7 +54,7 @@ class DetectorParams:
 class ProbabilityResult:
     value: float
     abs_error: float
-    method: str  # "closed_form" | "quadrature" | "bound_midpoint"
+    method: str  # "closed_form" | "quadrature"
 
     def __post_init__(self) -> None:
         if self.abs_error < 0:
@@ -292,94 +291,58 @@ def calQ(
     raise ValueError(f"unknown calQ mode {mode!r}")
 
 
-def irreducible_integral(
-    c: ContractionClass,
-    sched: RepetitionSchedule,
-    kern: WightmanKernel,
-    d: DetectorParams,
-    *,
-    gl_order: int = 32,
-    qmc_points: int = 1 << 20,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """One cross-interval correlation integral, with an error estimate.
+#: Chebyshev resolutions p of the cross-window correlators, tried in turn
+#: until two successive ones agree to the roundoff floor.
+CHEB_RESOLUTIONS = (12, 24, 48, 96)
+#: Roundoff floor of a correction sum, in units of eps * sum |class value|.
+#: Repeated evaluations at different resolutions scatter over 55-140 units.
+ROUNDOFF_UNITS = 256.0
 
-    Every correlator argument joins distinct windows and stays bounded away
-    from zero, so the cut-off is dropped.  Four-dimensional integrals (two
-    windows) use tensor Gauss-Legendre; higher dimensions use a scrambled
-    Sobol sequence.
+
+def _chebyshev_basis(p: int, t_on: float, x) -> np.ndarray:
+    """Lagrange basis of the p Chebyshev (first-kind) nodes on [0, t_on],
+    evaluated at x: shape (len(x), p).
+
+    Uses the discrete orthogonality of T_k on the nodes, so no node or
+    evaluation point can hit a zero denominator.
     """
-    k = len(c.interval_labels)
-    if k == 2:
-        coarse = _gl_class_value(c, sched, kern, d, max(8, (3 * gl_order) // 4))
-        fine = _gl_class_value(c, sched, kern, d, gl_order)
-        return fine, abs(fine - coarse)
-    sample = _sobol_sample(k, qmc_points, seed, c.interval_labels)
-    return _qmc_class_value(c, sched, kern, d, sample)
+    theta = (np.arange(p) + 0.5) * math.pi / p
+    k = np.arange(p)
+    at_nodes = np.cos(np.outer(theta, k))
+    at_nodes[:, 0] *= 0.5
+    phi = np.arccos(np.clip(2.0 * np.asarray(x, dtype=float) / t_on - 1.0, -1.0, 1.0))
+    return (2.0 / p) * np.cos(np.outer(phi, k)) @ at_nodes.T
 
 
-def _gl_class_value(c, sched, kern, d, order: int) -> float:
-    (x, w) = np.polynomial.legendre.leggauss(order)
-    v_nodes = 0.5 * sched.t_on * (x + 1.0)
-    v_wts = 0.5 * sched.t_on * w
-    t_nodes = 0.5 * (x + 1.0)
-    t_wts = 0.5 * w
+def _chebyshev_nodes(p: int, t_on: float) -> np.ndarray:
+    theta = (np.arange(p) + 0.5) * math.pi / p
+    return 0.5 * t_on * (1.0 + np.cos(theta))
 
-    grids = np.meshgrid(v_nodes, t_nodes, v_nodes, t_nodes, indexing="ij")
-    wts = (
-        v_wts[:, None, None, None]
-        * t_wts[None, :, None, None]
-        * v_wts[None, None, :, None]
-        * t_wts[None, None, None, :]
+
+def _window_moments(
+    sched: RepetitionSchedule, d: DetectorParams, p: int
+) -> np.ndarray:
+    """M[m, n] = int_{u' <= u} 2 chi(u) chi(u') cos(w (u - u')) l_m(u) l_n(u').
+
+    Stationarity gives every window the same matrix.  Tensor Gauss-Legendre
+    on (v, t) with u = v, u' = v - t v (Jacobian v); its order is tied to p.
+    """
+    x, w = np.polynomial.legendre.leggauss(max(32, 2 * p))
+    v = 0.5 * sched.t_on * (x + 1.0)
+    t = 0.5 * (x + 1.0)
+    s = v[:, None] * t[None, :]
+    weight = (
+        2.0
+        * sched.chi_window(v)[:, None]
+        * sched.chi_window(v[:, None] - s)
+        * np.cos(d.omega * s)
+        * (v * 0.5 * sched.t_on * w)[:, None]
+        * (0.5 * w)[None, :]
     )
-    v = {lab: grids[2 * i] for i, lab in enumerate(c.interval_labels)}
-    t = {lab: grids[2 * i + 1] for i, lab in enumerate(c.interval_labels)}
-    integrand = _class_integrand(c, sched, kern, d, v, t)
-    return float(np.sum(integrand * wts))
-
-
-def _sobol_sample(k: int, n: int, seed: int, labels) -> np.ndarray:
-    stable = abs(hash((k,) + tuple(labels))) % (1 << 31)
-    engine = qmc.Sobol(d=2 * k, scramble=True, seed=seed + stable)
-    return engine.random(n)
-
-
-def _qmc_class_value(c, sched, kern, d, sample: np.ndarray) -> tuple[float, float]:
-    k = len(c.interval_labels)
-    v = {
-        lab: sched.t_on * sample[:, 2 * i] for i, lab in enumerate(c.interval_labels)
-    }
-    t = {lab: sample[:, 2 * i + 1] for i, lab in enumerate(c.interval_labels)}
-    integrand = _class_integrand(c, sched, kern, d, v, t)
-    volume = sched.t_on**k
-    half = len(integrand) // 2
-    full_mean = float(np.mean(integrand))
-    half_mean = float(np.mean(integrand[:half]))
-    return volume * full_mean, volume * abs(full_mean - half_mean)
-
-
-def _class_integrand(c, sched, kern, d, v: dict, t: dict) -> np.ndarray:
-    """Product of window weights and cross-window correlator values."""
-    weight = None
-    pos = {}
-    for lab in c.interval_labels:
-        vi = v[lab]
-        si = t[lab] * vi
-        wi = (
-            2.0
-            * sched.chi_window(vi)
-            * sched.chi_window(vi - si)
-            * np.cos(d.omega * si)
-            * vi  # Jacobian of s = t * v
-        )
-        weight = wi if weight is None else weight * wi
-        base = sched.t * lab
-        pos[(lab, 0)] = base + vi
-        pos[(lab, 1)] = base + vi - si
-    out = weight
-    for a, b in c.edges:
-        out = out * kern.limit(pos[a] - pos[b])
-    return out
+    later = _chebyshev_basis(p, sched.t_on, v)
+    earlier = _chebyshev_basis(p, sched.t_on, (v[:, None] - s).ravel())
+    inner = np.einsum("ij,ijn->in", weight, earlier.reshape(len(v), len(t), p))
+    return later.T @ inner
 
 
 class ResponseModel:
@@ -388,6 +351,13 @@ class ResponseModel:
     Correction fractions depend only on the gaps between the chosen windows
     (stationarity), so results are cached by gap signature and reused across
     translated histories.
+
+    Windows are well separated, so each cross-window correlator is smooth in
+    the two window-local times and is replaced by its p-node Chebyshev
+    interpolant, K(T g + x - y) ~ sum_mn C[m, n] l_m(x) l_n(y).  Each window
+    has exactly two endpoints, so a contraction class is a union of cycles
+    over windows, and its integral is the product of the cycle traces of
+    alternating window moment matrices and correlator matrices.
     """
 
     def __init__(
@@ -400,18 +370,16 @@ class ResponseModel:
         gl_order: int = 32,
         qmc_points: int = 1 << 20,
         seed: int = 0,
-        history_cap: int = 4,
     ) -> None:
+        """``gl_order``, ``qmc_points`` and ``seed`` are kept for callers, unused."""
         self.kernel = kern
         self.schedule = sched
         self.detector = detector
         self.q_mode = q_mode
-        self.gl_order = gl_order
-        self.qmc_points = qmc_points
-        self.seed = seed
-        self.history_cap = history_cap
         self._calq = calQ(kern, sched, detector, mode=q_mode)
         self._f_cache: dict[tuple[int, ...], tuple[float, float]] = {}
+        self._moments: dict[int, np.ndarray] = {}
+        self._links: dict[tuple[int, int, int], np.ndarray] = {}
 
     @property
     def q(self) -> float:
@@ -424,6 +392,10 @@ class ResponseModel:
     def f_fraction(self, intervals) -> tuple[float, float]:
         """Correction fraction over a set of windows: sum of all pairing
         integrals divided by the matching power of the single-window response.
+
+        The Chebyshev resolution p doubles through CHEB_RESOLUTIONS until two
+        successive sums agree to the roundoff floor; the error is their
+        difference plus that floor.
         """
         labels = tuple(sorted(intervals))
         k = len(labels)
@@ -434,79 +406,65 @@ class ResponseModel:
             return self._f_cache[gaps]
 
         classes = enumerate_contraction_classes(k, gaps)
-        total = 0.0
-        err_sq = 0.0
-        if k == 2:
-            for cls in classes:
-                val, err = irreducible_integral(
-                    cls, self.schedule, self.kernel, self.detector,
-                    gl_order=self.gl_order, seed=self.seed,
-                )
-                total += val
-                err_sq += err * err
-        else:
-            sample = _sobol_sample(k, self.qmc_points, self.seed, gaps)
-            v = {g: self.schedule.t_on * sample[:, 2 * i] for i, g in enumerate(gaps)}
-            t = {g: sample[:, 2 * i + 1] for i, g in enumerate(gaps)}
-            weights, pos = self._window_factors(gaps, v, t)
-            edge_vals = self._edge_values(gaps, pos)
-            volume = self.schedule.t_on**k
-            half = self.qmc_points // 2
-            for cls in classes:
-                integrand = weights.copy()
-                for a, b in cls.edges:
-                    integrand *= edge_vals[(a, b)]
-                m_full = float(np.mean(integrand))
-                m_half = float(np.mean(integrand[:half]))
-                total += volume * m_full
-                err_sq += (volume * (m_full - m_half)) ** 2
+        eps = float(np.finfo(float).eps)
+        total = None
+        for p in CHEB_RESOLUTIONS:
+            values = [self._class_value(cls, p) for cls in classes]
+            prev, total = total, math.fsum(values)
+            floor = ROUNDOFF_UNITS * eps * math.fsum(abs(v) for v in values)
+            if prev is not None and abs(total - prev) <= floor:
+                norm = self._calq**k
+                result = (total / norm, (abs(total - prev) + floor) / norm)
+                self._f_cache[gaps] = result
+                return result
+        raise QuadratureError(
+            f"correction integrals over gaps {gaps} did not converge by "
+            f"p = {p}: last change {abs(total - prev):g} against floor {floor:g}"
+        )
 
-        result = (total / self._calq**k, math.sqrt(err_sq) / self._calq**k)
-        self._f_cache[gaps] = result
-        return result
+    def _class_value(self, cls: ContractionClass, p: int) -> float:
+        """Product over the class's cycles of the traces of link products."""
+        partner = {}
+        for a, b in cls.edges:
+            partner[a] = b
+            partner[b] = a
+        value = 1.0
+        seen = set()
+        for lab in cls.interval_labels:
+            if lab in seen:
+                continue
+            start = entry = (lab, 0)
+            product = None
+            while True:
+                window, side = entry
+                seen.add(window)
+                entry = partner[(window, 1 - side)]
+                link = self._link(p, side, window - entry[0])
+                product = link if product is None else product @ link
+                if entry == start:
+                    break
+            value *= float(np.trace(product))
+        return value
 
-    def _window_factors(self, gaps, v, t):
-        sched, d = self.schedule, self.detector
-        weight = None
-        pos = {}
-        for g in gaps:
-            vi = v[g]
-            si = t[g] * vi
-            wi = (
-                2.0
-                * sched.chi_window(vi)
-                * sched.chi_window(vi - si)
-                * np.cos(d.omega * si)
-                * vi
-            )
-            weight = wi if weight is None else weight * wi
-            pos[(g, 0)] = sched.t * g + vi
-            pos[(g, 1)] = sched.t * g + vi - si
-        return weight, pos
-
-    def _edge_values(self, gaps, pos):
-        out = {}
-        for i, gi in enumerate(gaps):
-            for gj in gaps[i + 1 :]:
-                for a in (0, 1):
-                    for b in (0, 1):
-                        key = ((gi, a), (gj, b))
-                        val = self.kernel.limit(pos[(gi, a)] - pos[(gj, b)])
-                        out[key] = val
-                        out[((gj, b), (gi, a))] = val
-        return out
+    def _link(self, p: int, side: int, gap: int) -> np.ndarray:
+        """A window entered at endpoint ``side`` (M, or M^T from the earlier
+        endpoint) times the correlator to the window ``gap`` repetitions
+        earlier: C[m, n] = K(T gap + x_m - x_n)."""
+        key = (p, side, gap)
+        if key not in self._links:
+            if p not in self._moments:
+                self._moments[p] = _window_moments(self.schedule, self.detector, p)
+            moments = self._moments[p]
+            x = _chebyshev_nodes(p, self.schedule.t_on)
+            corr = self.kernel.limit(self.schedule.t * gap + x[:, None] - x[None, :])
+            self._links[key] = (moments if side == 0 else moments.T) @ corr
+        return self._links[key]
 
     def correction_sums(self, h: HistoryRecord) -> tuple[float, float, float]:
         """(numerator sum, denominator sum, combined abs error) for P_n/q."""
         from itertools import combinations
 
         n = h.order
-        if n > self.history_cap:
-            warnings.warn(
-                f"history order {n} exceeds the configured cap "
-                f"{self.history_cap}; sequence-sampled evaluation is experimental",
-                stacklevel=2,
-            )
         all_intervals = h.excitations + (h.query,)
         num = den = 0.0
         err = 0.0
@@ -544,14 +502,3 @@ class ResponseModel:
             )
         return (num - den) / (1.0 + den), 2.0 * err
 
-
-def conditional_excitation(
-    h: HistoryRecord, model: ResponseModel
-) -> ProbabilityResult:
-    """Functional alias for :meth:`ResponseModel.conditional_excitation`."""
-    return model.conditional_excitation(h)
-
-
-def f_fraction(intervals, model: ResponseModel) -> tuple[float, float]:
-    """Functional alias for :meth:`ResponseModel.f_fraction`."""
-    return model.f_fraction(intervals)

@@ -125,11 +125,6 @@ def default_schedule(
     )
 
 
-def chi_rm(s: RepetitionSchedule, tau):
-    """Functional alias for :meth:`RepetitionSchedule.chi`."""
-    return s.chi(tau)
-
-
 #: Safety factor interpreting "much smaller than" in the repetition cap.
 MAX_REPETITION_SAFETY = 1e-2
 

@@ -34,26 +34,15 @@ def accelerated_kernel():
 
 
 @pytest.fixture(scope="session")
-def fast_model(inertial_kernel, schedule):
-    """Low-point model for structural unit tests."""
-    return ResponseModel(
-        inertial_kernel, schedule, DETECTOR, qmc_points=1 << 12, seed=0
-    )
-
-
-@pytest.fixture(scope="session")
 def full_model(inertial_kernel, schedule):
-    """Production-accuracy inertial model shared across acceptance tests."""
-    return ResponseModel(
-        inertial_kernel, schedule, DETECTOR, qmc_points=1 << 20, seed=0
-    )
+    """Inertial model shared across tests, so correction fractions are
+    computed once."""
+    return ResponseModel(inertial_kernel, schedule, DETECTOR)
 
 
 @pytest.fixture(scope="session")
 def full_accelerated_model(accelerated_kernel, schedule):
-    return ResponseModel(
-        accelerated_kernel, schedule, DETECTOR, qmc_points=1 << 20, seed=0
-    )
+    return ResponseModel(accelerated_kernel, schedule, DETECTOR)
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,6 @@ from udwrm import (
     GammaProfile,
     HistoryRecord,
     Posterior,
-    conditional_excitation,
     born_string_prob,
     crossing_count,
     delta_p_first_order,
@@ -98,7 +97,7 @@ def test_criterion_06_bound_containment(full_model, inertial_kernel, schedule):
                 histories.append(HistoryRecord(excitations=exc, query=query))
     assert len(histories) == 92
     for h in histories:
-        p = conditional_excitation(h, full_model)
+        p = full_model.conditional_excitation(h)
         tight = tight_bounds(h.excitations, h.query, q, gp)
         loose = loose_bounds(h.order, q, gp.gamma)
         assert loose.lower <= tight.lower <= tight.upper <= loose.upper

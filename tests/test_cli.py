@@ -133,3 +133,23 @@ def test_string_probs_csv(tmp_path, capsys):
     assert len(rows) == 4
     total = sum(float(r.split(",")[3]) for r in rows)
     assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def test_jobs_flag_is_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"bounds": {"q": 0.1, "gamma": 0.01}})
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--config", cfg, "--jobs", "2"])
+    assert exc.value.code == 2
+
+
+def test_string_probs_rows_ignore_seed_and_quadrature(tmp_path, capsys):
+    plain = write_config(tmp_path, {"strings": {"length": 3}})
+    tuned = tmp_path / "tuned.json"
+    tuned.write_text(
+        json.dumps({"strings": {"length": 3}, "quadrature": {"qmc_points": 1 << 12}})
+    )
+    _, first, _ = run(capsys, "string-probs", "--config", plain)
+    _, again, _ = run(capsys, "string-probs", "--config", plain)
+    _, other, _ = run(capsys, "string-probs", "--config", str(tuned), "--seed", "5")
+    assert first == again
+    assert first.splitlines()[1:] == other.splitlines()[1:]

@@ -6,14 +6,12 @@ import pytest
 from udwrm.kernel import (
     WightmanKernel,
     accelerated,
-    eval_kernel,
     extreme_point_value,
     inertial,
     unruh_temperature,
 )
 from udwrm.schedule import (
     bump,
-    chi_rm,
     default_schedule,
     max_repetitions,
     truncated_gaussian,
@@ -43,14 +41,14 @@ def test_accelerated_approaches_inertial_at_small_alpha():
 def test_regularized_value_converges_to_limit():
     k = WightmanKernel(inertial())
     s = 1.5
-    vals = [eval_kernel(k, s, epsilon=10.0**-j) for j in (2, 3, 4)]
+    vals = [k.value(s, epsilon=10.0**-j) for j in (2, 3, 4)]
     errs = [abs(v - k.limit(s)) for v in vals]
     assert errs[0] > errs[1] > errs[2]
 
 
 def test_regularized_value_finite_at_coincidence():
     k = WightmanKernel(inertial())
-    v = eval_kernel(k, 0.0, epsilon=1e-3)
+    v = k.value(0.0, epsilon=1e-3)
     assert np.isfinite(v.real) and np.isfinite(v.imag)
 
 
@@ -97,9 +95,9 @@ def test_chi_rm_tiles_windows():
     s = default_schedule(repetitions=3)
     c0 = s.window_center(0)
     c2 = s.window_center(2)
-    assert chi_rm(s, c0) == pytest.approx(chi_rm(s, c2))
+    assert s.chi(c0) == pytest.approx(s.chi(c2))
     # dead time between windows
-    assert chi_rm(s, (s.interaction_interval(0)[1] + s.interaction_interval(1)[0]) / 2) == 0.0
+    assert s.chi((s.interaction_interval(0)[1] + s.interaction_interval(1)[0]) / 2) == 0.0
 
 
 def test_max_repetitions_scales_with_horizon():

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import udwrm
 from udwrm import (
     DetectorParams,
     HistoryRecord,
@@ -11,6 +15,7 @@ from udwrm import (
     accelerated,
     calQ,
     default_schedule,
+    enumerate_contraction_classes,
     inertial,
     q_closed_accelerated,
     q_closed_inertial,
@@ -85,52 +90,136 @@ def test_history_record_validation():
         HistoryRecord(excitations=(0, 2), query=2)
 
 
-def test_first_window_is_unconditioned(fast_model):
-    r = fast_model.conditional_excitation(HistoryRecord(excitations=(), query=0))
-    assert r.value == fast_model.q
+def test_first_window_is_unconditioned(full_model):
+    r = full_model.conditional_excitation(HistoryRecord(excitations=(), query=0))
+    assert r.value == full_model.q
     assert r.abs_error == 0.0
 
 
-def test_f_fraction_translation_invariance(fast_model):
-    a, _ = fast_model.f_fraction((0, 1))
-    b, _ = fast_model.f_fraction((3, 4))
+def test_f_fraction_translation_invariance(full_model):
+    a, _ = full_model.f_fraction((0, 1))
+    b, _ = full_model.f_fraction((3, 4))
     assert a == b  # stationary schedule: only gaps matter
 
 
-def test_f_fraction_gap_decay(fast_model):
-    near = abs(fast_model.f_fraction((0, 1))[0])
-    far = abs(fast_model.f_fraction((0, 5))[0])
+def test_f_fraction_gap_decay(full_model):
+    near = abs(full_model.f_fraction((0, 1))[0])
+    far = abs(full_model.f_fraction((0, 5))[0])
     assert far < near
 
 
-def test_f_fraction_pair_is_positive(fast_model):
+def test_f_fraction_pair_is_positive(full_model):
     # two-interval cross terms factor into squared magnitudes
-    val, _ = fast_model.f_fraction((0, 1))
+    val, _ = full_model.f_fraction((0, 1))
     assert val > 0
 
 
-def test_f_fraction_triple_is_negative(fast_model):
-    val, _ = fast_model.f_fraction((0, 1, 2))
+def test_f_fraction_triple_is_negative(full_model):
+    val, _ = full_model.f_fraction((0, 1, 2))
     assert val < 0
 
 
-def test_conditional_excitation_near_q(fast_model):
-    r = fast_model.conditional_excitation(HistoryRecord(excitations=(0,), query=1))
-    assert r.value == pytest.approx(fast_model.q, rel=1e-3)
-    assert r.value != fast_model.q
+def test_conditional_excitation_near_q(full_model):
+    r = full_model.conditional_excitation(HistoryRecord(excitations=(0,), query=1))
+    assert r.value == pytest.approx(full_model.q, rel=1e-3)
+    assert r.value != full_model.q
 
 
-def test_correction_ratio_small(fast_model):
-    ratio, err = fast_model.correction_ratio(HistoryRecord(excitations=(0,), query=1))
+def test_correction_ratio_small(full_model):
+    ratio, err = full_model.correction_ratio(HistoryRecord(excitations=(0,), query=1))
     assert abs(ratio) < 1e-3
     assert err >= 0.0
 
 
-def test_qmc_seed_determinism(inertial_kernel, schedule, detector):
-    kwargs = dict(qmc_points=1 << 10, seed=42)
-    m1 = ResponseModel(inertial_kernel, schedule, detector, **kwargs)
-    m2 = ResponseModel(inertial_kernel, schedule, detector, **kwargs)
+def test_f_fraction_ignores_seed_and_points(inertial_kernel, schedule, detector):
+    m1 = ResponseModel(inertial_kernel, schedule, detector, qmc_points=1 << 10, seed=42)
+    m2 = ResponseModel(inertial_kernel, schedule, detector, qmc_points=1 << 20, seed=7)
     assert m1.f_fraction((0, 1, 3)) == m2.f_fraction((0, 1, 3))
+
+
+def _window_points(sched, d, order):
+    """Tensor Gauss-Legendre points of one window on the (v, t) map: the
+    later time u = v, the earlier time u' = v - t v, and the weights
+    2 chi(u) chi(u') cos(w (u - u')) v dv dt."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    v = 0.5 * sched.t_on * (x[:, None] + 1.0)
+    s = v * 0.5 * (x[None, :] + 1.0)
+    weight = (
+        2.0
+        * sched.chi_window(v)
+        * sched.chi_window(v - s)
+        * np.cos(d.omega * s)
+        * v
+        * (0.25 * sched.t_on * w[:, None] * w[None, :])
+    )
+    later = np.broadcast_to(v, s.shape).ravel()
+    return (later, (v - s).ravel()), weight.ravel()
+
+
+def reference_fraction(model, gaps, order=32):
+    """Correction fraction by tensor Gauss-Legendre over every window.
+
+    For two windows this is the four-dimensional product rule; for more,
+    the same product rule is contracted over the quadrature points of each
+    window with einsum.  The correlators are evaluated at the points
+    themselves, not interpolated.
+    """
+    sched, kern = model.schedule, model.kernel
+    ends, weight = _window_points(sched, model.detector, order)
+    index = {g: "abcdef"[i] for i, g in enumerate(gaps)}
+    total = 0.0
+    for cls in enumerate_contraction_classes(len(gaps), gaps):
+        subscripts = [index[g] for g in gaps]
+        operands = [weight] * len(gaps)
+        for (ga, sa), (gb, sb) in cls.edges:
+            subscripts.append(index[ga] + index[gb])
+            operands.append(
+                kern.limit(sched.t * (ga - gb) + ends[sa][:, None] - ends[sb][None, :])
+            )
+        total += np.einsum(",".join(subscripts) + "->", *operands, optimize=True)
+    return total / model.calq ** len(gaps)
+
+
+@pytest.mark.parametrize("gaps", [(0, 1), (0, 2), (0, 3), (0, 1, 2), (0, 1, 3)])
+@pytest.mark.parametrize("kind", ["inertial", "accelerated"])
+def test_f_fraction_error_covers_reference(kind, gaps, full_model, full_accelerated_model):
+    model = full_model if kind == "inertial" else full_accelerated_model
+    val, err = model.f_fraction(gaps)
+    ref = reference_fraction(model, gaps)
+    assert abs(val - ref) <= err, (val, ref, err)
+
+
+@pytest.mark.parametrize("gaps", [((0, 1, 3), (0, 2, 3)), ((0, 1, 2, 4), (0, 2, 3, 4))])
+def test_f_fraction_reflection_symmetry(gaps, full_model):
+    # reversing time maps one window set onto the other
+    (a, ea), (b, eb) = (full_model.f_fraction(g) for g in gaps)
+    assert abs(a - b) <= ea + eb, (a, b, ea + eb)
+
+
+def test_f_fraction_refines_fast_decaying_correlator(schedule, detector):
+    # at alpha = 1 the correlator falls like exp(-alpha s) across a window,
+    # which the starting Chebyshev resolution misses at the 1e-6 level
+    kern = WightmanKernel(accelerated(1.0))
+    model = ResponseModel(kern, schedule, detector, q_mode="quadrature")
+    val, err = model.f_fraction((0, 1))
+    ref = reference_fraction(model, (0, 1))
+    assert abs(val - ref) <= err, (val, ref, err)
+
+
+def test_f_fraction_stalls_for_touching_windows(inertial_kernel, detector):
+    model = ResponseModel(inertial_kernel, default_schedule(t_off_factor=1e-4), detector)
+    with pytest.raises(QuadratureError):
+        model.f_fraction((0, 1))
+
+
+def test_import_skips_scipy_stats():
+    code = "import sys, udwrm; print('scipy.stats' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(udwrm.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_strong_coupling_warns(inertial_kernel, schedule):

@@ -43,24 +43,24 @@ def test_born_string_prob_product_law():
     assert total == pytest.approx(1.0)
 
 
-def test_rm_string_prob_all_zero_matches_born(fast_model):
+def test_rm_string_prob_all_zero_matches_born(full_model):
     b = BitString(bits=(0, 0, 0))
-    r = rm_string_prob(b, fast_model)
-    assert r.value == pytest.approx(born_string_prob(fast_model.q, b))
+    r = rm_string_prob(b, full_model)
+    assert r.value == pytest.approx(born_string_prob(full_model.q, b))
     assert r.log_ratio_correction == 0.0
 
 
-def test_rm_string_prob_close_to_born(fast_model):
+def test_rm_string_prob_close_to_born(full_model):
     b = BitString.from_int(0b1010, 4)
-    r = rm_string_prob(b, fast_model)
+    r = rm_string_prob(b, full_model)
     assert abs(r.log_ratio_correction) < 1e-3
-    assert r.value == pytest.approx(born_string_prob(fast_model.q, b), rel=1e-3)
+    assert r.value == pytest.approx(born_string_prob(full_model.q, b), rel=1e-3)
 
 
-def test_rm_string_prob_consistent_with_log_ratio(fast_model):
+def test_rm_string_prob_consistent_with_log_ratio(full_model):
     b = BitString.from_int(0b0011, 4)
-    r = rm_string_prob(b, fast_model)
-    born = born_string_prob(fast_model.q, b)
+    r = rm_string_prob(b, full_model)
+    born = born_string_prob(full_model.q, b)
     assert r.value == pytest.approx(born * math.exp(r.log_ratio_correction), rel=1e-12)
 
 
