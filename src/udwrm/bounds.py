@@ -228,9 +228,9 @@ def tight_bounds(
     Uses the sign pattern of the correction fractions (even window count:
     in [0, bound]; odd: in [-bound, 0]) on the conditional-probability
     ratio.  Beyond n = 4 the pairing enumeration is not closed-form here,
-    so the result degrades to the loose bounds with a warning.  The result
-    is always intersected with the loose bounds, which are occasionally
-    narrower on one side.
+    so the loose bounds are returned, labelled "loose", with a warning.
+    Otherwise the result is intersected with the loose bounds, which are
+    occasionally narrower on one side.
     """
     if list(history) != sorted(set(history)):
         raise ValueError("history must be strictly increasing")
@@ -246,7 +246,7 @@ def tight_bounds(
             "falls back to loose bounds",
             stacklevel=2,
         )
-        return BoundPair(loose.lower, loose.upper, kind="tight")
+        return loose
     if n == 1:
         return BoundPair(q, q, kind="tight")
 

@@ -18,12 +18,11 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import erfc
 
-from .combinatorics import ContractionClass, enumerate_contraction_classes
+from .combinatorics import CONTRACTION_ENUM_MAX, ContractionClass, enumerate_contraction_classes
 from .kernel import WightmanKernel
 from .schedule import RepetitionSchedule
 
@@ -108,63 +107,39 @@ def q_closed_inertial(d: DetectorParams, sigma: float) -> ProbabilityResult:
     return ProbabilityResult(value, abs_error=abs(value) * 1e-14, method="closed_form")
 
 
-def q_closed_accelerated(
-    d: DetectorParams,
-    sigma: float,
-    alpha: float,
-    n_max: int | None = None,
-    rel_tol: float = 1e-12,
-) -> ProbabilityResult:
+def q_closed_accelerated(d: DetectorParams, sigma: float, alpha: float) -> ProbabilityResult:
     """Infinite-interaction-time excitation probability, uniform acceleration.
 
-    Image sum over b_n = -2 pi n / alpha; each term carries a factor
-    exp(b_n^2 / 4 sigma^2 + omega b_n) against a half-line Gaussian moment,
-    so it is evaluated in high-precision arithmetic where the giant
-    exponentials cancel analytically.  The surviving terms fall off only
-    like 1 / n^2, so the tail is summed with series acceleration unless an
-    explicit ``n_max`` truncation is requested.
+    The Rindler correlator has a Planckian spectrum at temperature
+    alpha / 2 pi, so with energies E = alpha y the response is the inertial
+    one plus a thermal integral,
+
+        q_inertial + lam^2 sigma^2 alpha^2 int_0^inf n(y)
+            [exp(-sigma^2 (alpha y - w)^2) + exp(-sigma^2 (alpha y + w)^2)] dy,
+
+    n(y) = y / (2 pi (exp(2 pi y) - 1)).  The integrand is smooth, so one
+    adaptive quadrature in double precision suffices; the range stops where
+    n(y) or the Gaussian factor has fallen below exp(-64).
     """
     if sigma <= 0 or alpha <= 0:
         raise ValueError("sigma and alpha must be > 0")
-    if n_max is not None and n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    inertial = q_closed_inertial(d, sigma)
+    w = d.omega
 
-    with mpmath.workdps(60):
-        w = mpmath.mpf(d.omega)
-        s = mpmath.mpf(sigma)
-        a = mpmath.mpf(alpha)
-        sqrt_pi = mpmath.sqrt(mpmath.pi)
+    def integrand(y: float) -> float:
+        n = y / (2.0 * math.pi * math.expm1(2.0 * math.pi * y)) if y > 0.0 else 0.25 / math.pi**2
+        below, above = sigma * (alpha * y - w), sigma * (alpha * y + w)
+        return n * (math.exp(-below * below) + math.exp(-above * above))
 
-        def term(n: int):
-            b = -2 * mpmath.pi * n / a
-            r = w * s + b / (2 * s)
-            xi = 1 if n > 0 else -1
-            lower = -xi * r  # lower limit of the Gaussian moment integral
-            inner = mpmath.exp(-lower * lower) / 2 + xi * r * sqrt_pi / 2 * mpmath.erfc(lower)
-            return mpmath.exp(b * b / (4 * s * s) + w * b) * inner
-
-        prefactor = mpmath.mpf(d.lam) ** 2 / (2 * mpmath.pi)
-        if n_max is None:
-            total = term(0) + mpmath.nsum(lambda n: term(n) + term(-n), [1, mpmath.inf])
-            value = float(prefactor * total)
-            abs_error = abs(value) * max(rel_tol, 1e-13)
-            return ProbabilityResult(value, abs_error=abs_error, method="closed_form")
-
-        total = term(0)
-        tail = mpmath.mpf(0)
-        for n in range(1, n_max + 1):
-            t = term(n) + term(-n)
-            total += t
-            if n == n_max:
-                # 1/n^2 fall-off: the omitted remainder is about n_max * t
-                tail = abs(t) * n_max
-        value = float(prefactor * total)
-        abs_error = float(prefactor * tail) + abs(value) * 1e-13
-    if abs_error > max(1e-3 * abs(value), 1e-300):
-        raise QuadratureError(
-            f"truncation at n_max={n_max} leaves an estimated tail {abs_error:g}"
-        )
-    return ProbabilityResult(value, abs_error=abs_error, method="closed_form")
+    upper = min(40.0, (w + 8.0 / sigma) / alpha)
+    peak = [w / alpha] if w / alpha < upper else None
+    thermal, err = quad(integrand, 0.0, upper, points=peak, limit=200, epsabs=0.0, epsrel=1e-13)
+    scale = d.lam**2 * sigma**2 * alpha**2
+    return ProbabilityResult(
+        float(inertial.value + scale * thermal),
+        abs_error=float(inertial.abs_error + scale * err),
+        method="closed_form",
+    )
 
 
 def _overlap_function(
@@ -232,7 +207,9 @@ def q_direct(
 
     2 lam^2 int du int ds chi(u) chi(u-s) Re[exp(-i w s) W_eps(s)], reduced
     to one dimension through the window auto-correlation, evaluated on the
-    cut-off sequence eps0 / 2^j and extrapolated to zero.
+    cut-off sequence eps0 / 2^j and extrapolated to zero.  The error is the
+    extrapolation spread plus the levels' own quadrature errors carried
+    through it; the latter dominate where q is exponentially small.
 
     ``truncated=False`` keeps the profile's tails (infinite-interaction
     reference mode, directly comparable to the closed forms).
@@ -241,27 +218,29 @@ def q_direct(
         raise ValueError("need eps0 > 0 and at least two extrapolation levels")
     overlap, s_max = _overlap_function(sched, interval, truncated)
 
-    def level_value(eps: float) -> float:
+    def level_value(eps: float) -> tuple[float, float]:
         def f(s: float) -> float:
             return overlap(s) * float(np.real(np.exp(-1j * d.omega * s) * kern.value(s, eps)))
 
         cut = min(s_max, 100.0 * eps)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            v1, _ = quad(f, 0.0, cut, limit=400, epsabs=1e-16, epsrel=1e-13)
-            v2, _ = quad(f, cut, s_max, limit=400, epsabs=1e-16, epsrel=1e-13)
-        return 2.0 * (v1 + v2)
+            v1, e1 = quad(f, 0.0, cut, limit=400, epsabs=1e-16, epsrel=1e-13)
+            v2, e2 = quad(f, cut, s_max, limit=400, epsabs=1e-16, epsrel=1e-13)
+        return 2.0 * (v1 + v2), 2.0 * (e1 + e2)
 
-    values = [level_value(eps0 / 2**j) for j in range(levels)]
+    values, errors = zip(*(level_value(eps0 / 2**j) for j in range(levels)))
     best, err = _richardson(values)
     if not math.isfinite(best) or (best != 0.0 and err > 10 * rel_tol * abs(best)):
         raise QuadratureError(
             f"cut-off extrapolation unstable: value {best:g}, spread {err:g}, "
-            f"levels {values}"
+            f"levels {list(values)}"
         )
+    # each Neville step at most multiplies the levels' errors by (2^m + 1) / (2^m - 1)
+    carried = max(errors) * math.prod((2**m + 1) / (2**m - 1) for m in range(1, levels))
     value = d.lam**2 * best
     return ProbabilityResult(
-        value=value, abs_error=d.lam**2 * err, method="quadrature"
+        value=value, abs_error=d.lam**2 * (err + carried), method="quadrature"
     )
 
 
@@ -461,10 +440,22 @@ class ResponseModel:
         return self._links[key]
 
     def correction_sums(self, h: HistoryRecord) -> tuple[float, float, float]:
-        """(numerator sum, denominator sum, combined abs error) for P_n/q."""
+        """(numerator sum, denominator sum, combined abs error) for P_n/q.
+
+        The single entry point for histories, so they are validated here.
+        """
         from itertools import combinations
 
         n = h.order
+        if h.query >= self.schedule.repetitions:
+            raise ValueError(
+                f"query window {h.query} is past the last of "
+                f"{self.schedule.repetitions} repetitions"
+            )
+        if n > CONTRACTION_ENUM_MAX:
+            raise ValueError(
+                f"history of {n} windows exceeds CONTRACTION_ENUM_MAX = {CONTRACTION_ENUM_MAX}"
+            )
         all_intervals = h.excitations + (h.query,)
         num = den = 0.0
         err = 0.0
@@ -479,8 +470,6 @@ class ResponseModel:
 
     def conditional_excitation(self, h: HistoryRecord) -> ProbabilityResult:
         """P_n = q (1 + numerator corrections) / (1 + history corrections)."""
-        if h.order == 1:
-            return ProbabilityResult(self.q, abs_error=0.0, method="quadrature")
         num, den, err = self.correction_sums(h)
         if 1.0 + den <= 0.0:
             raise BoundViolationError(
@@ -493,8 +482,6 @@ class ResponseModel:
 
     def correction_ratio(self, h: HistoryRecord) -> tuple[float, float]:
         """P_n / q - 1, formed from the correction sums directly."""
-        if h.order == 1:
-            return 0.0, 0.0
         num, den, err = self.correction_sums(h)
         if 1.0 + den <= 0.0:
             raise BoundViolationError(

@@ -103,6 +103,14 @@ def test_tight_bounds_inside_loose():
         assert tight.upper <= loose.upper
 
 
+def test_tight_bounds_past_four_windows_are_loose():
+    gp = GammaProfile.constant(GAMMA)
+    with pytest.warns(UserWarning, match="falls back to loose bounds"):
+        b = tight_bounds((0, 1, 2, 3), 4, Q, gp)
+    assert b == loose_bounds(5, Q, GAMMA)
+    assert b.kind == "loose"
+
+
 def test_tight_bounds_widen_with_gamma():
     narrow = tight_bounds((0,), 1, Q, GammaProfile.constant(0.005))
     wide = tight_bounds((0,), 1, Q, GammaProfile.constant(0.02))

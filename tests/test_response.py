@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -5,6 +6,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+from scipy.special import erfcx, zeta
 
 import udwrm
 from udwrm import (
@@ -21,6 +25,7 @@ from udwrm import (
     q_closed_inertial,
     q_direct,
 )
+from udwrm.combinatorics import CONTRACTION_ENUM_MAX
 from udwrm.response import QuadratureError
 
 
@@ -56,9 +61,83 @@ def test_q_closed_accelerated_small_alpha_limit(detector):
     assert qa == pytest.approx(qi, rel=1e-7)
 
 
-def test_q_closed_accelerated_truncation_error_flagged(detector):
-    with pytest.raises(QuadratureError):
-        q_closed_accelerated(detector, 1.0, 0.1, n_max=1)
+def image_sum_reference(d, sigma, alpha):
+    """Accelerated q as the image sum over the thermal poles, (value, error).
+
+    With x = w sigma, c = pi / (alpha sigma) and
+    g(z) = 1/2 - z (sqrt(pi)/2) erfcx(z), the sum is
+    lam^2 / (2 pi) e^{-x^2} [sum_{n>=0} g(n c + x) + sum_{n>=1} g(n c - x)].
+    Terms with z < 20 are summed directly; beyond, g follows its asymptotic
+    series sum_m (-1)^{m+1} (2m-1)!! / (2^{m+1} z^{2m}), whose sums over n
+    are Hurwitz zeta values.  The error is 4 eps per direct term plus the
+    last asymptotic term.
+    """
+    x = d.omega * sigma
+    c = math.pi / (alpha * sigma)
+    n_direct = max(1, math.ceil((20.0 + x) / c))
+    n = np.arange(n_direct)
+    z = np.concatenate([n * c + x, n[1:] * c - x])
+    bracket = math.fsum(0.5 - 0.5 * math.sqrt(math.pi) * z * erfcx(z))
+    coef = 0.5
+    for m in range(1, 9):
+        coef *= (2 * m - 1) / 2.0
+        last = (-1) ** (m + 1) * coef / c ** (2 * m) * (
+            zeta(2 * m, n_direct + x / c) + zeta(2 * m, n_direct - x / c)
+        )
+        bracket += last
+    prefactor = d.lam**2 / (2.0 * math.pi) * math.exp(-x * x)
+    error = len(z) * 4.0 * np.finfo(float).eps + abs(last)
+    return prefactor * bracket, prefactor * error
+
+
+def q_estimates(d, sigma, alpha):
+    """(value, abs_error) of the accelerated q by the closed form and the
+    image sum, which are valid for every parameter."""
+    closed = q_closed_accelerated(d, sigma, alpha)
+    return {
+        "closed_form": (closed.value, closed.abs_error),
+        "image_sum": image_sum_reference(d, sigma, alpha),
+    }
+
+
+def quadrature_estimate(d, sigma, alpha):
+    direct = q_direct(
+        WightmanKernel(accelerated(alpha)), default_schedule(sigma=sigma), d, truncated=False
+    )
+    return direct.value, direct.abs_error
+
+
+def assert_errors_cover(estimates):
+    """Every two estimates agree within the sum of their reported errors."""
+    for a, b in itertools.combinations(estimates, 2):
+        (va, ea), (vb, eb) = estimates[a], estimates[b]
+        assert abs(va - vb) <= ea + eb, (a, b, estimates)
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 0.1, 1.0, 5.0])
+def test_q_closed_accelerated_error_covers_references(alpha, detector):
+    estimates = q_estimates(detector, 1.0, alpha)
+    estimates["quadrature"] = quadrature_estimate(detector, 1.0, alpha)
+    assert_errors_cover(estimates)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    omega=st.floats(0.05, 2.0),
+    sigma=st.floats(0.5, 3.0),
+    alpha=st.floats(-3.0, 1.0).map(lambda e: 10.0**e),
+)
+def test_q_closed_accelerated_error_covers_references_property(omega, sigma, alpha):
+    d = DetectorParams(omega=omega, lam=1e-2)
+    estimates = q_estimates(d, sigma, alpha)
+    try:
+        estimates["quadrature"] = quadrature_estimate(d, sigma, alpha)
+    except QuadratureError:
+        # the cut-off extrapolation has no stable limit at sigma near 0.5,
+        # w sigma above about 4, or alpha eps0 near 1; the image sum then
+        # remains the independent reference
+        event("quadrature declined")
+    assert_errors_cover(estimates)
 
 
 def test_q_direct_matches_closed_form(inertial_kernel, schedule, detector):
@@ -88,6 +167,24 @@ def test_history_record_validation():
         HistoryRecord(excitations=(2, 0), query=5)
     with pytest.raises(ValueError):
         HistoryRecord(excitations=(0, 2), query=2)
+
+
+def test_query_past_schedule_rejected(full_model):
+    past = full_model.schedule.repetitions
+    with pytest.raises(ValueError, match="past the last"):
+        full_model.conditional_excitation(HistoryRecord(excitations=(0,), query=past))
+    with pytest.raises(ValueError, match="past the last"):
+        full_model.correction_ratio(HistoryRecord(excitations=(), query=past))
+
+
+def test_history_beyond_enumeration_rejected_before_integrals(
+    inertial_kernel, schedule, detector
+):
+    model = ResponseModel(inertial_kernel, schedule, detector)
+    h = HistoryRecord(excitations=tuple(range(CONTRACTION_ENUM_MAX)), query=7)
+    with pytest.raises(ValueError, match="CONTRACTION_ENUM_MAX"):
+        model.correction_sums(h)
+    assert model._f_cache == {}
 
 
 def test_first_window_is_unconditioned(full_model):
@@ -212,8 +309,9 @@ def test_f_fraction_stalls_for_touching_windows(inertial_kernel, detector):
         model.f_fraction((0, 1))
 
 
-def test_import_skips_scipy_stats():
-    code = "import sys, udwrm; print('scipy.stats' in sys.modules)"
+@pytest.mark.parametrize("module", ["scipy.stats", "mpmath"])
+def test_import_skips_unused_module(module):
+    code = f"import sys, udwrm; print({module!r} in sys.modules)"
     src = os.path.dirname(os.path.dirname(udwrm.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
