@@ -11,14 +11,10 @@ with window separation, which is checked numerically.
 
 from __future__ import annotations
 
-import math
+import itertools
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.special import gammaln, logsumexp
-
-from .combinatorics import crossing_count
 from .kernel import WightmanKernel, extreme_point_value
 from .schedule import RepetitionSchedule
 
@@ -103,23 +99,30 @@ class GammaProfile:
         return value
 
 
-def _log_crossing_counts(n: int) -> np.ndarray:
-    """log of the no-fixed-pairing counts, iteratively, safe for large n."""
-    lc = np.full(n + 1, -np.inf)
-    lc[0] = 0.0
-    for k in range(2, n + 1):
-        lc[k] = math.log(2 * (k - 1)) + np.logaddexp(lc[k - 1], lc[k - 2])
-    return lc
+def _parity_sums(gamma: float):
+    """Yield (E_{n-1}, O_{n-1}, E_n, O_n) for n = 1, 2, ..., where E_n (O_n)
+    is the sum over even (odd) k = 2..n of C(n, k) c(k) gamma^k.
+
+    The crossing counts c(k) = 2(k-1)(c(k-1) + c(k-2)) have the EGF
+    e^{-t}(1-2t)^{-1/2}, which gives
+    E_{n+1} = E_n + 2 gamma n (O_n - O_{n-1}) + 2 gamma^2 n (1 + E_{n-1}),
+    O_{n+1} = O_n + 2 gamma n (E_n - E_{n-1}) + 2 gamma^2 n O_{n-1}.
+    The increments are carried instead of differenced, so every term is
+    non-negative: nothing cancels, and an overflow stays inf (never nan).
+    """
+    e_prev = e = de = o_prev = o = do = 0.0
+    for n in itertools.count(1):
+        yield e_prev, o_prev, e, o
+        de, do = (
+            2.0 * gamma * n * do + 2.0 * gamma * gamma * n * (1.0 + e_prev),
+            2.0 * gamma * n * de + 2.0 * gamma * gamma * n * o_prev,
+        )
+        e_prev, e, o_prev, o = e, e + de, o, o + do
 
 
-def _log_parity_sum(n: int, gamma: float, parity: int, lc: np.ndarray) -> float:
-    """log of sum over k = 2..n with k % 2 == parity of C(n,k) c(k) gamma^k."""
-    ks = np.arange(2, n + 1)
-    ks = ks[ks % 2 == parity]
-    if len(ks) == 0:
-        return -np.inf
-    log_binom = gammaln(n + 1) - gammaln(ks + 1) - gammaln(n - ks + 1)
-    return float(logsumexp(log_binom + lc[ks] + ks * math.log(gamma)))
+def _check_q_gamma(q: float, gamma: float) -> None:
+    if not 0.0 < q < 1.0 or not 0.0 < gamma < 1.0:
+        raise ValueError("q and gamma must lie in (0, 1)")
 
 
 def parity_correction_sum(n: int, gamma: float, parity: int) -> float:
@@ -132,8 +135,21 @@ def parity_correction_sum(n: int, gamma: float, parity: int) -> float:
         raise ValueError("gamma must lie in (0, 1)")
     if parity not in (0, 1):
         raise ValueError("parity must be 0 (even) or 1 (odd)")
-    log_val = _log_parity_sum(n, gamma, parity, _log_crossing_counts(n))
-    return math.exp(log_val) if log_val < 700 else math.inf
+    return next(itertools.islice(_parity_sums(gamma), n - 1, None))[2 + parity]
+
+
+def loose_bound_scan(q: float, gamma: float, n_max: int) -> list[BoundPair]:
+    """Loose bounds for n = 1 .. n_max in one pass, stopping before the
+    first n at which they are undefined (see ``loose_bounds``)."""
+    _check_q_gamma(q, gamma)
+    out = []
+    for e_prev, o_prev, e, o in itertools.islice(_parity_sums(gamma), n_max):
+        if o_prev >= 1.0 or o > 1.0:
+            break
+        out.append(
+            BoundPair(q * (1.0 - o) / (1.0 + e_prev), q * (1.0 + e) / (1.0 - o_prev), "loose")
+        )
+    return out
 
 
 def loose_bounds(n: int, q: float, gamma: float) -> BoundPair:
@@ -146,25 +162,12 @@ def loose_bounds(n: int, q: float, gamma: float) -> BoundPair:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not 0.0 < q < 1.0:
-        raise ValueError("q must lie in (0, 1)")
-    if n == 1:
-        return BoundPair(q, q, kind="loose")
-    lc = _log_crossing_counts(n)
-
-    def parity_sum(m: int, parity: int) -> float:
-        log_val = _log_parity_sum(m, gamma, parity, lc)
-        return math.exp(log_val) if log_val < 700 else math.inf
-
-    up_den = 1.0 - parity_sum(n - 1, 1)
-    lo_num = 1.0 - parity_sum(n, 1)
-    if up_den <= 0.0 or lo_num < 0.0:
+    scan = loose_bound_scan(q, gamma, n)
+    if len(scan) < n:
         raise HorizonExceededError(
             f"loose bounds undefined at n={n}: odd correction sums reach 1"
         )
-    upper = q * (1.0 + parity_sum(n, 0)) / up_den
-    lower = q * lo_num / (1.0 + parity_sum(n - 1, 0))
-    return BoundPair(lower, upper, kind="loose")
+    return scan[-1]
 
 
 def n_limit(q: float, gamma: float, cap: int = N_LIMIT_CAP) -> int:
@@ -175,17 +178,10 @@ def n_limit(q: float, gamma: float, cap: int = N_LIMIT_CAP) -> int:
     sum (at n or n-1) reaches 1 or the upper bound reaches 1; all three
     conditions are monotone in n, so the scan stops at the first failure.
     """
-    if not 0.0 < q < 1.0 or not 0.0 < gamma < 1.0:
-        raise ValueError("q and gamma must lie in (0, 1)")
-    lc = _log_crossing_counts(cap)
-    for n in range(2, cap + 1):
-        odd_n = _log_parity_sum(n, gamma, 1, lc)
-        odd_prev = _log_parity_sum(n - 1, gamma, 1, lc)
-        if odd_n >= 0.0 or odd_prev >= 0.0:
-            return n
-        even_n = _log_parity_sum(n, gamma, 0, lc)
-        upper = q * (1.0 + math.exp(even_n)) / (1.0 - math.exp(odd_prev))
-        if upper >= 1.0:
+    _check_q_gamma(q, gamma)
+    sums = itertools.islice(_parity_sums(gamma), 1, cap)
+    for n, (_, o_prev, e, o) in enumerate(sums, start=2):
+        if o >= 1.0 or o_prev >= 1.0 or q * (1.0 + e) / (1.0 - o_prev) >= 1.0:
             return n
     warnings.warn(f"validity horizon exceeds the search cap {cap}", stacklevel=2)
     return cap
@@ -270,11 +266,9 @@ def tight_bounds(
         ints = (n1, n2, n3, query)
         pairs = [(a, b) for idx, a in enumerate(ints) for b in ints[idx + 1 :]]
         pair_sum = sum(_pair_bound(g(a, b)) for a, b in pairs)
-        from itertools import combinations
-
         triple_sum = sum(
             _triple_bound(g(a, b), g(b, c), g(a, c))
-            for a, b, c in combinations(ints, 3)
+            for a, b, c in itertools.combinations(ints, 3)
         )
         lower = q / (1.0 + sum(_pair_bound(g(a, b)) for a, b in pairs if query not in (a, b)))
         upper = (

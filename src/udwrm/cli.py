@@ -16,13 +16,14 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import __version__
 from .bayes import CorrectionModel, Posterior, delta_p_first_order, update_posterior
-from .bounds import GammaProfile, HorizonExceededError, loose_bounds, n_limit, tight_bounds
+from .bounds import GammaProfile, loose_bound_scan, loose_bounds, n_limit
 from .combinatorics import (
     crossing_count,
     partition_term_count,
@@ -70,6 +71,30 @@ def _emit(rows, header, args, config) -> None:
     finally:
         if args.out:
             out.close()
+
+
+class ConfigError(ValueError):
+    """A config value has the wrong type or range (exit status 2)."""
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _in_open_unit(v) -> bool:
+    return _is_real(v) and 0.0 < v < 1.0
+
+
+def _config_value(block: dict, section: str, key: str, default, ok, expected: str):
+    """block[key] (or the default), checked before any work is done."""
+    value = block.get(key, default)
+    if not ok(value):
+        raise ConfigError(f"{section}.{key} must be {expected}, got {value!r}")
+    return value
 
 
 def _build_model(config: dict) -> tuple[ResponseModel, WightmanKernel]:
@@ -155,18 +180,24 @@ def _cmd_string_probs(args, config):
 
 def _cmd_bounds(args, config):
     block = config.get("bounds", {})
-    q = block.get("q", 0.1)
-    gamma = block.get("gamma", 0.01)
-    horizon = n_limit(q, gamma)
-    n_max = block.get("n_max", horizon + 1)
+    q = _config_value(block, "bounds", "q", 0.1, _in_open_unit, "a number in (0, 1)")
+    gamma = _config_value(
+        block, "bounds", "gamma", 0.01, _in_open_unit, "a number in (0, 1)"
+    )
+    n_max = _config_value(
+        block,
+        "bounds",
+        "n_max",
+        None,
+        lambda v: v is None or (_is_int(v) and v >= 1),
+        "an integer >= 1",
+    )
+    if n_max is None:
+        n_max = n_limit(q, gamma) + 1
+    # row n reports the bound certified before the n-th outcome, i.e. for
+    # the n-1 windows already recorded (the published horizon axis)
     rows = [[1, q, q, q]]
-    for n in range(2, n_max + 1):
-        # row n reports the bound certified before the n-th outcome, i.e.
-        # for the n-1 windows already recorded (the published horizon axis)
-        try:
-            bp = loose_bounds(n - 1, q, gamma)
-        except HorizonExceededError:
-            break
+    for n, bp in enumerate(loose_bound_scan(q, gamma, n_max - 1), start=2):
         rows.append([n, bp.lower, bp.upper, q])
     _emit(rows, ["n", "lower", "upper", "q"], args, config)
     return 0
@@ -202,6 +233,8 @@ def _cmd_bayes(args, config):
 
 def _cmd_oracle(args, config):
     from .oracle import (
+        MAX_ENV_DIM,
+        MAX_STRING_LENGTH,
         exact_step_probability,
         perturbative_corrections,
         propagator_consistency,
@@ -211,9 +244,25 @@ def _cmd_oracle(args, config):
     )
 
     block = config.get("oracle", {})
-    d = block.get("env_dim", 8)
-    length = block.get("length", 8)
-    eps = block.get("epsilon", 1e-3)
+    d = _config_value(
+        block,
+        "oracle",
+        "env_dim",
+        8,
+        lambda v: _is_int(v) and 1 <= v <= MAX_ENV_DIM,
+        f"an integer in [1, {MAX_ENV_DIM}]",
+    )
+    length = _config_value(
+        block,
+        "oracle",
+        "length",
+        8,
+        lambda v: _is_int(v) and 1 <= v <= MAX_STRING_LENGTH,
+        f"an integer in [1, {MAX_STRING_LENGTH}]",
+    )
+    eps = _config_value(
+        block, "oracle", "epsilon", 1e-3, lambda v: _is_real(v) and v > 0, "a number > 0"
+    )
     rows = []
     m = random_model(d, length, seed=args.seed)
     norm = sum(string_distribution(m, length).values())
@@ -313,6 +362,10 @@ def main(argv=None) -> int:
             return 2
     try:
         return _COMMANDS[args.command](args, config)
+    except ConfigError as exc:
+        parser.print_usage(sys.stderr)
+        print(f"{parser.prog}: bad config: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, RuntimeError) as exc:
         print(f"{parser.prog}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -10,7 +10,8 @@ and for the Bayesian machinery, at dimensions where everything is cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -19,8 +20,13 @@ from scipy.linalg import expm
 from .strings import BitString
 
 MAX_ENV_DIM = 64
+MAX_STRING_LENGTH = 20
 HERMITICITY_TOL = 1e-12
 UNITARITY_TOL = 1e-10
+# children's probabilities must sum to their branch's, relative to it
+BRANCH_TOL = 1e-12
+# complex amplitudes evolved per batch of branches in the measurement tree
+TREE_BLOCK = 1 << 18
 
 
 class ModelError(ValueError):
@@ -142,6 +148,15 @@ class FiniteRmModel:
         _check_unitary(u, f"step {k} propagator")
         return u
 
+    @functools.cached_property
+    def _step_columns(self) -> tuple[np.ndarray, ...]:
+        """The columns of each step unitary on detector |0> (x) environment,
+        the only ones a reset detector reaches; built once per model."""
+        d = self.env_dim
+        return tuple(
+            np.ascontiguousarray(self.step_unitary(k)[:, :d]) for k in range(self.steps)
+        )
+
 
 @dataclass
 class TrajectoryState:
@@ -185,30 +200,65 @@ def step_distribution(m: FiniteRmModel, t: TrajectoryState, k: int):
     return probs[0], probs[1], states[0], states[1]
 
 
+def _check_length(m: FiniteRmModel, length: int) -> None:
+    if length > m.steps:
+        raise ModelError(f"string of length {length} exceeds {m.steps} steps")
+    if length > MAX_STRING_LENGTH:
+        raise ModelError(f"string length capped at {MAX_STRING_LENGTH}")
+
+
+def _children(m: FiniteRmModel, k: int, amps: np.ndarray, probs: np.ndarray):
+    """Branches after step k.  Row r of ``amps`` is the unnormalized
+    environment vector of a branch and ``probs[r]`` its probability; its
+    outcome-b child is row 2r + b of the result."""
+    child = (amps @ m._step_columns[k].T).reshape(-1, m.env_dim)
+    child_probs = np.sum(np.abs(child) ** 2, axis=1)
+    total = child_probs.reshape(-1, 2).sum(axis=1)
+    if np.any(np.abs(total - probs) > BRANCH_TOL * probs):
+        raise ModelError(f"step {k} outcome probabilities do not sum to their branch's")
+    return child, child_probs
+
+
+def _leaf_probabilities(m, k, length, amps, probs) -> np.ndarray:
+    """Probabilities of all strings extending the branches ``amps`` at step
+    k to the given length, breadth-first, in batches of TREE_BLOCK."""
+    while k < length:
+        if amps.size > TREE_BLOCK:
+            half = amps.shape[0] // 2
+            return np.concatenate(
+                [
+                    _leaf_probabilities(m, k, length, amps[:half], probs[:half]),
+                    _leaf_probabilities(m, k, length, amps[half:], probs[half:]),
+                ]
+            )
+        amps, probs = _children(m, k, amps, probs)
+        k += 1
+    return probs
+
+
+def _root(m: FiniteRmModel):
+    amps = m.env_initial.astype(complex)[None, :]
+    return amps, np.sum(np.abs(amps) ** 2, axis=1)
+
+
 def exact_string_prob(m: FiniteRmModel, b: BitString) -> float:
     """Chain-rule probability of the full outcome string."""
-    if b.length > m.steps:
-        raise ModelError(f"string of length {b.length} exceeds {m.steps} steps")
-    if b.length > 20:
-        raise ModelError("string length capped at 20")
-    t = TrajectoryState(env=m.env_initial.astype(complex))
-    prob = 1.0
+    _check_length(m, b.length)
+    amps, probs = _root(m)
     for k, bit in enumerate(b.bits):
-        p0, p1, s0, s1 = step_distribution(m, t, k)
-        p = p1 if bit == 1 else p0
-        if p <= 0.0:
-            return 0.0
-        prob *= p
-        t = s1 if bit == 1 else s0
-    return prob
+        amps, probs = _children(m, k, amps, probs)
+        amps, probs = amps[bit : bit + 1], probs[bit : bit + 1]
+    return float(probs[0])
 
 
 def string_distribution(m: FiniteRmModel, length: int) -> dict[int, float]:
-    """Probabilities of every outcome string of the given length."""
-    out = {}
-    for v in range(1 << length):
-        out[v] = exact_string_prob(m, BitString.from_int(v, length))
-    return out
+    """Probabilities of every outcome string of the given length, keyed by
+    their ``BitString.from_int`` value (first outcome most significant).
+
+    The measurement tree is evolved breadth-first as a (2^k, d) array of
+    branch amplitudes, so each step is one matrix product."""
+    _check_length(m, length)
+    return dict(enumerate(_leaf_probabilities(m, 0, length, *_root(m)).tolist()))
 
 
 def perturbative_corrections(m: FiniteRmModel, k: int, env: np.ndarray):

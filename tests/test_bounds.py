@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -15,19 +16,60 @@ from udwrm.combinatorics import crossing_count
 
 
 Q, GAMMA = 0.1, 0.01
+# README accelerated model (alpha = 0.1): single-window q and adjacent gamma
+README_Q, README_GAMMA = 5.465734945535168e-06, 2.2654559733562785e-04
+
+
+def exact_parity_sum(n, gamma, parity):
+    g = Fraction(gamma)
+    return sum(
+        math.comb(n, k) * crossing_count(k) * g**k
+        for k in range(2, n + 1)
+        if k % 2 == parity
+    )
+
+
+def assert_parity_sums_exact(gamma, ns):
+    for n in ns:
+        for parity in (0, 1):
+            exact = exact_parity_sum(n, gamma, parity)
+            value = parity_correction_sum(n, gamma, parity)
+            if exact == 0:
+                assert value == 0.0
+            else:
+                assert abs(Fraction(value) - exact) <= Fraction(4e-15) * exact, (n, parity)
 
 
 def test_parity_sums_match_direct_evaluation():
-    for n in range(1, 10):
-        for parity in (0, 1):
-            direct = sum(
-                math.comb(n, k) * crossing_count(k) * GAMMA**k
-                for k in range(2, n + 1)
-                if k % 2 == parity
-            )
-            assert parity_correction_sum(n, GAMMA, parity) == pytest.approx(
-                direct, rel=1e-12
-            )
+    assert_parity_sums_exact(GAMMA, range(1, 55))
+
+
+def test_parity_sums_match_exact_fractions_at_readme_gamma():
+    assert_parity_sums_exact(README_GAMMA, (50, 200, 400))
+
+
+def test_parity_correction_sum_overflows_to_inf():
+    for parity in (0, 1):
+        assert parity_correction_sum(2000, 0.05, parity) == math.inf
+
+
+@pytest.mark.parametrize(
+    "q, gamma, horizon",
+    [
+        (Q, GAMMA, 55),
+        (Q, 0.05, 14),
+        (Q, 0.001, 487),
+        (0.3, 0.05, 14),
+        (1e-3, 1e-3, 494),
+        (1e-3, 0.2, 6),
+        (0.5, 1e-4, 4277),
+        (README_Q, README_GAMMA, 2139),
+    ],
+)
+def test_n_limit_grid(q, gamma, horizon):
+    assert n_limit(q, gamma) == horizon
+    # the last certified window count still gives a sub-unit upper bound
+    assert loose_bounds(horizon - 1, q, gamma).upper < 1.0
 
 
 def test_loose_bounds_first_windows_collapse_to_q():

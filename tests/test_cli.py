@@ -153,3 +153,33 @@ def test_string_probs_rows_ignore_seed_and_quadrature(tmp_path, capsys):
     _, other, _ = run(capsys, "string-probs", "--config", str(tuned), "--seed", "5")
     assert first == again
     assert first.splitlines()[1:] == other.splitlines()[1:]
+
+
+@pytest.mark.parametrize(
+    "command, section, key, bad_values",
+    [
+        ("oracle", "oracle", "env_dim", [0, 65, 2.5, True, "8"]),
+        ("oracle", "oracle", "length", [0, 21, 4.0, None]),
+        ("oracle", "oracle", "epsilon", [0.0, -1e-3, float("inf"), "1e-3"]),
+        ("bounds", "bounds", "q", [0.0, 1.0, -0.1, None]),
+        ("bounds", "bounds", "gamma", [0.0, 1.0, 2.0, "0.01"]),
+        ("bounds", "bounds", "n_max", [0, -3, 5.5, False]),
+    ],
+    ids=["env_dim", "length", "epsilon", "q", "gamma", "n_max"],
+)
+def test_bad_config_value_exits_2_naming_the_key(
+    tmp_path, capsys, monkeypatch, command, section, key, bad_values
+):
+    import udwrm.oracle
+
+    def no_work(*_):
+        raise AssertionError("work started before the config was validated")
+
+    monkeypatch.setattr(udwrm.oracle, "expm", no_work)
+    monkeypatch.setattr("udwrm.cli.n_limit", no_work)
+    for value in bad_values:
+        cfg = write_config(tmp_path, {section: {key: value}})
+        code, out, err = run(capsys, command, "--config", cfg)
+        assert code == 2, value
+        assert f"{section}.{key}" in err
+        assert out == ""

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -16,6 +17,7 @@ from udwrm import (
     random_weak_model,
     string_distribution,
 )
+from udwrm.oracle import FiniteRmModel, TrajectoryState, step_distribution
 
 
 def test_step_unitary_is_unitary():
@@ -100,3 +102,85 @@ def test_model_guards():
         exact_string_prob(m, BitString(bits=(0, 0, 0)))  # more bits than steps
     with pytest.raises(ModelError):
         perturbative_corrections(m, 0, m.env_initial)  # no weak structure
+
+
+def step_chain_probabilities(m, length):
+    """String probabilities as products of step_distribution outcomes along
+    each branch, walked depth-first with a fresh step unitary per step."""
+    out = {}
+
+    def walk(t, k, value):
+        if k == length:
+            out[value] = t.probability
+            return
+        _, _, s0, s1 = step_distribution(m, t, k)
+        walk(s0, k + 1, 2 * value)
+        walk(s1, k + 1, 2 * value + 1)
+
+    walk(TrajectoryState(env=m.env_initial.astype(complex)), 0, 0)
+    return out
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: random_model(env_dim=4, steps=8, seed=11),
+        lambda: random_weak_model(env_dim=4, steps=8, epsilon=0.05, seed=12),
+        lambda: iid_model(env_dim=4, steps=8, seed=13),
+    ],
+    ids=["random", "weak", "iid"],
+)
+def test_string_distribution_matches_step_chain(make):
+    m = make()
+    tree = string_distribution(m, 8)
+    chain = step_chain_probabilities(m, 8)
+    assert sorted(tree) == list(range(256))
+    for v, p in chain.items():
+        assert tree[v] == pytest.approx(p, abs=1e-15)
+        assert exact_string_prob(m, BitString.from_int(v, 8)) == pytest.approx(p, abs=1e-15)
+
+
+def test_string_distribution_normalizes_at_length_16():
+    m = random_model(env_dim=4, steps=16, seed=14)
+    probs = string_distribution(m, 16)
+    assert len(probs) == 1 << 16
+    assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_string_distribution_batches_agree(monkeypatch):
+    m = random_model(env_dim=4, steps=7, seed=17)
+    whole = string_distribution(m, 7)
+    monkeypatch.setattr("udwrm.oracle.TREE_BLOCK", 12)
+    batched = string_distribution(m, 7)
+    assert list(batched) == list(whole)
+    for v, p in whole.items():
+        assert batched[v] == pytest.approx(p, abs=1e-15)
+
+
+class LeakyModel(FiniteRmModel):
+    """Step unitaries scaled by 1 + 1e-9: each passes the unitarity check
+    before scaling, so only the per-step probability check can catch it."""
+
+    def step_unitary(self, k):
+        return super().step_unitary(k) * (1.0 + 1e-9)
+
+
+def test_non_unitary_step_is_caught_by_the_tree():
+    m = random_model(env_dim=4, steps=5, seed=15)
+    leaky = LeakyModel(*(getattr(m, f.name) for f in dataclasses.fields(m)))
+    with pytest.raises(ModelError, match="outcome probabilities"):
+        string_distribution(leaky, 5)
+    with pytest.raises(ModelError, match="outcome probabilities"):
+        exact_string_prob(leaky, BitString(bits=(0, 1, 0)))
+
+
+def test_step_unitaries_built_once_per_model(monkeypatch):
+    m = random_model(env_dim=4, steps=6, seed=16)
+    calls = []
+    original = FiniteRmModel.step_unitary
+    monkeypatch.setattr(
+        FiniteRmModel, "step_unitary", lambda self, k: calls.append(k) or original(self, k)
+    )
+    string_distribution(m, 6)
+    exact_string_prob(m, BitString(bits=(1, 0, 1)))
+    assert calls == list(range(6))
