@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, permutations
 
 WICK_COUNT_MAX = 20
@@ -35,19 +34,18 @@ def wick_term_count(n: int) -> int:
     return math.factorial(2 * n) // (2**n * math.factorial(n))
 
 
-@lru_cache(maxsize=None)
 def crossing_count(k: int) -> int:
     """Number of pairings of 2k endpoints with no same-interval pair.
 
-    Satisfies c(k) = 2(k-1)[c(k-1) + c(k-2)] with c(0)=1, c(1)=0.
+    Satisfies c(k) = 2(k-1)[c(k-1) + c(k-2)] with c(0)=1, c(1)=0, run
+    upwards in a loop, so any k is reached without recursion.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    if k == 0:
-        return 1
-    if k == 1:
-        return 0
-    return 2 * (k - 1) * (crossing_count(k - 1) + crossing_count(k - 2))
+    before, current = 1, 0  # c(0), c(1)
+    for j in range(2, k + 1):
+        before, current = current, 2 * (j - 1) * (current + before)
+    return before if k == 0 else current
 
 
 def double_factorial(n: int) -> int:

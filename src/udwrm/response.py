@@ -14,13 +14,13 @@ absolute resolution stay meaningful.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import erfc
+from numpy.polynomial.legendre import leggauss
 
 from .combinatorics import CONTRACTION_ENUM_MAX, ContractionClass, enumerate_contraction_classes
 from .kernel import WightmanKernel
@@ -102,9 +102,66 @@ def q_closed_inertial(d: DetectorParams, sigma: float) -> ProbabilityResult:
     if sigma <= 0:
         raise ValueError("sigma must be > 0")
     x = d.omega * sigma
-    bracket = math.exp(-x * x) - x * math.sqrt(math.pi) * erfc(x)
+    bracket = math.exp(-x * x) - x * math.sqrt(math.pi) * math.erfc(x)
     value = d.lam**2 / (4.0 * math.pi) * bracket
     return ProbabilityResult(value, abs_error=abs(value) * 1e-14, method="closed_form")
+
+
+#: Gauss-Legendre orders per panel of a q integral, tried in turn until two
+#: successive sums agree to the roundoff floor.
+PANEL_ORDERS = (16, 32, 64, 128)
+#: Roundoff floor of a quadrature or correction sum, in units of
+#: eps * sum |term|.  Repeated correction sums at different resolutions
+#: scatter over 55-140 units.
+ROUNDOFF_UNITS = 256.0
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], built once and
+    shared, hence read-only."""
+    x, w = leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _panel_quadrature(f, edges) -> tuple[float, float]:
+    """Integral of the vectorized f over [edges[0], edges[-1]] by n-node
+    Gauss-Legendre on each panel between successive edges.
+
+    n doubles through PANEL_ORDERS until two successive sums agree to the
+    roundoff floor; returns (sum, error), the error being their difference
+    plus that floor.
+    """
+    edges = np.asarray(edges, dtype=float)
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    half = 0.5 * np.diff(edges)[:, None]
+    eps = float(np.finfo(float).eps)
+    total = None
+    for n in PANEL_ORDERS:
+        x, w = _gauss_legendre(n)
+        terms = (half * w * f(mid + half * x)).ravel()
+        prev, total = total, math.fsum(terms)
+        floor = ROUNDOFF_UNITS * eps * math.fsum(np.abs(terms))
+        if prev is not None and abs(total - prev) <= floor:
+            return total, abs(total - prev) + floor
+    raise QuadratureError(
+        f"Gauss-Legendre sums over {len(edges) - 1} panels did not converge by "
+        f"order {n}: last change {abs(total - prev):g} against floor {floor:g}"
+    )
+
+
+def _geometric_edges(eps: float, s_max: float) -> np.ndarray:
+    """Panel edges 0, eps, 2 eps, 4 eps, ... ending at s_max: each panel is
+    as long as its distance from a pole at i eps, so Gauss-Legendre
+    converges at the same geometric rate on every panel."""
+    edges = [0.0]
+    step = eps
+    while step < s_max:
+        edges.append(step)
+        step *= 2.0
+    edges.append(s_max)
+    return np.array(edges)
 
 
 def q_closed_accelerated(d: DetectorParams, sigma: float, alpha: float) -> ProbabilityResult:
@@ -117,8 +174,10 @@ def q_closed_accelerated(d: DetectorParams, sigma: float, alpha: float) -> Proba
         q_inertial + lam^2 sigma^2 alpha^2 int_0^inf n(y)
             [exp(-sigma^2 (alpha y - w)^2) + exp(-sigma^2 (alpha y + w)^2)] dy,
 
-    n(y) = y / (2 pi (exp(2 pi y) - 1)).  The integrand is smooth, so one
-    adaptive quadrature in double precision suffices; the range stops where
+    n(y) = y / (2 pi (exp(2 pi y) - 1)).  The integrand is smooth on either
+    side of the Gaussian peak at w / alpha, and n(y) has its nearest poles
+    at y = +-i, so Gauss-Legendre converges geometrically on the panels
+    [0, 1], [1, 2], [2, 4], ... split at the peak; the range stops where
     n(y) or the Gaussian factor has fallen below exp(-64).
     """
     if sigma <= 0 or alpha <= 0:
@@ -126,14 +185,17 @@ def q_closed_accelerated(d: DetectorParams, sigma: float, alpha: float) -> Proba
     inertial = q_closed_inertial(d, sigma)
     w = d.omega
 
-    def integrand(y: float) -> float:
-        n = y / (2.0 * math.pi * math.expm1(2.0 * math.pi * y)) if y > 0.0 else 0.25 / math.pi**2
+    def integrand(y: np.ndarray) -> np.ndarray:
+        # Gauss-Legendre nodes are interior, so y > 0
+        n = y / (2.0 * math.pi * np.expm1(2.0 * math.pi * y))
         below, above = sigma * (alpha * y - w), sigma * (alpha * y + w)
-        return n * (math.exp(-below * below) + math.exp(-above * above))
+        return n * (np.exp(-below * below) + np.exp(-above * above))
 
     upper = min(40.0, (w + 8.0 / sigma) / alpha)
-    peak = [w / alpha] if w / alpha < upper else None
-    thermal, err = quad(integrand, 0.0, upper, points=peak, limit=200, epsabs=0.0, epsrel=1e-13)
+    edges = _geometric_edges(1.0, upper)
+    if w / alpha < upper:
+        edges = np.union1d(edges, [w / alpha])
+    thermal, err = _panel_quadrature(integrand, edges)
     scale = d.lam**2 * sigma**2 * alpha**2
     return ProbabilityResult(
         float(inertial.value + scale * thermal),
@@ -145,23 +207,25 @@ def q_closed_accelerated(d: DetectorParams, sigma: float, alpha: float) -> Proba
 def _overlap_function(
     sched: RepetitionSchedule, interval: int, truncated: bool, gl_nodes: int = 240
 ):
-    """Auto-correlation of the window profile: G(s) = int chi(u) chi(u-s) du.
+    """Auto-correlation of the window profile: G(s) = int chi(u) chi(u-s) du,
+    vectorized over s.
 
     With ``truncated`` the integral runs over the actual interaction window
-    of the given repetition interval; otherwise the profile's tails are kept
-    and the overlap runs over the whole line (the closed forms' convention).
+    of the given repetition interval, by one gl_nodes-point Gauss-Legendre
+    rule per s (a (len(s), gl_nodes) matrix times the weights); otherwise
+    the profile's tails are kept and the overlap runs over the whole line
+    (the closed forms' convention).
     """
     lo, hi = sched.interaction_interval(interval)
-    x, wts = np.polynomial.legendre.leggauss(gl_nodes)
+    x, wts = _gauss_legendre(gl_nodes)
 
     if truncated:
-        def overlap(s: float) -> float:
-            if s >= sched.t_on:
-                return 0.0
-            a, b = lo + s, hi
-            u = 0.5 * (b - a) * x + 0.5 * (a + b)
-            vals = sched.chi(u) * sched.chi(u - s)
-            return 0.5 * (b - a) * float(np.dot(wts, vals))
+        def overlap(s: np.ndarray) -> np.ndarray:
+            s = np.minimum(np.asarray(s, dtype=float), sched.t_on)
+            half = 0.5 * (hi - lo - s)[..., None]
+            u = half * x + (hi - half)
+            vals = sched.chi(u) * sched.chi(u - s[..., None])
+            return half[..., 0] * (vals @ wts)
 
         return overlap, sched.t_on
 
@@ -169,8 +233,8 @@ def _overlap_function(
         sig = sched.profile.width
         s_max = 14.0 * sig
 
-        def overlap(s: float) -> float:
-            return sig * math.sqrt(math.pi) * math.exp(-s * s / (4.0 * sig**2))
+        def overlap(s: np.ndarray) -> np.ndarray:
+            return sig * math.sqrt(math.pi) * np.exp(-s * s / (4.0 * sig**2))
 
         return overlap, s_max
 
@@ -207,9 +271,12 @@ def q_direct(
 
     2 lam^2 int du int ds chi(u) chi(u-s) Re[exp(-i w s) W_eps(s)], reduced
     to one dimension through the window auto-correlation, evaluated on the
-    cut-off sequence eps0 / 2^j and extrapolated to zero.  The error is the
-    extrapolation spread plus the levels' own quadrature errors carried
-    through it; the latter dominate where q is exponentially small.
+    cut-off sequence eps0 / 2^j and extrapolated to zero.  Each level is a
+    Gauss-Legendre panel rule on the geometric panels [0, eps], [eps, 2 eps],
+    [2 eps, 4 eps], ..., which resolve the correlator's pole at s = i eps
+    (see _panel_quadrature).  The error is the extrapolation spread plus
+    the levels' own quadrature errors carried through it; the latter
+    dominate where q is exponentially small.
 
     ``truncated=False`` keeps the profile's tails (infinite-interaction
     reference mode, directly comparable to the closed forms).
@@ -217,17 +284,24 @@ def q_direct(
     if eps0 <= 0 or levels < 2:
         raise ValueError("need eps0 > 0 and at least two extrapolation levels")
     overlap, s_max = _overlap_function(sched, interval, truncated)
+    known: dict[tuple[float, float], np.ndarray] = {}
+
+    def panel_overlap(s: np.ndarray) -> np.ndarray:
+        """overlap at the nodes of each panel (one row per panel), computed
+        once per panel and order: every level shares the panels past its
+        first, and a row's end nodes identify its panel."""
+        keys = [(row[0], row[-1]) for row in s]
+        new = [i for i, key in enumerate(keys) if key not in known]
+        if new:
+            known.update(zip([keys[i] for i in new], overlap(s[new])))
+        return np.stack([known[key] for key in keys])
 
     def level_value(eps: float) -> tuple[float, float]:
-        def f(s: float) -> float:
-            return overlap(s) * float(np.real(np.exp(-1j * d.omega * s) * kern.value(s, eps)))
+        def f(s: np.ndarray) -> np.ndarray:
+            return panel_overlap(s) * np.real(np.exp(-1j * d.omega * s) * kern.value(s, eps))
 
-        cut = min(s_max, 100.0 * eps)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            v1, e1 = quad(f, 0.0, cut, limit=400, epsabs=1e-16, epsrel=1e-13)
-            v2, e2 = quad(f, cut, s_max, limit=400, epsabs=1e-16, epsrel=1e-13)
-        return 2.0 * (v1 + v2), 2.0 * (e1 + e2)
+        value, error = _panel_quadrature(f, _geometric_edges(eps, s_max))
+        return 2.0 * value, 2.0 * error
 
     values, errors = zip(*(level_value(eps0 / 2**j) for j in range(levels)))
     best, err = _richardson(values)
@@ -273,9 +347,6 @@ def calQ(
 #: Chebyshev resolutions p of the cross-window correlators, tried in turn
 #: until two successive ones agree to the roundoff floor.
 CHEB_RESOLUTIONS = (12, 24, 48, 96)
-#: Roundoff floor of a correction sum, in units of eps * sum |class value|.
-#: Repeated evaluations at different resolutions scatter over 55-140 units.
-ROUNDOFF_UNITS = 256.0
 
 
 def _chebyshev_basis(p: int, t_on: float, x) -> np.ndarray:
@@ -306,7 +377,7 @@ def _window_moments(
     Stationarity gives every window the same matrix.  Tensor Gauss-Legendre
     on (v, t) with u = v, u' = v - t v (Jacobian v); its order is tied to p.
     """
-    x, w = np.polynomial.legendre.leggauss(max(32, 2 * p))
+    x, w = _gauss_legendre(max(32, 2 * p))
     v = 0.5 * sched.t_on * (x + 1.0)
     t = 0.5 * (x + 1.0)
     s = v[:, None] * t[None, :]

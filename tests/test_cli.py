@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import udwrm
 from udwrm.cli import main
 
 
@@ -175,7 +179,7 @@ def test_bad_config_value_exits_2_naming_the_key(
     def no_work(*_):
         raise AssertionError("work started before the config was validated")
 
-    monkeypatch.setattr(udwrm.oracle, "expm", no_work)
+    monkeypatch.setattr(udwrm.oracle, "expm_hermitian", no_work)
     monkeypatch.setattr("udwrm.cli.n_limit", no_work)
     for value in bad_values:
         cfg = write_config(tmp_path, {section: {key: value}})
@@ -183,3 +187,55 @@ def test_bad_config_value_exits_2_naming_the_key(
         assert code == 2, value
         assert f"{section}.{key}" in err
         assert out == ""
+
+
+# Runs every subcommand in an interpreter whose import system refuses scipy,
+# then reports the exit codes and any scipy module that got loaded.
+NO_SCIPY_SCRIPT = """
+import json, os, sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is refused")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+from udwrm.cli import main
+
+out, cfg = sys.argv[1], sys.argv[2]
+codes = {}
+for command in ("transition", "oracle", "bounds", "bayes", "string-probs"):
+    codes[command] = main([command, "--config", cfg, "--out", os.path.join(out, command)])
+codes["combinatorics"] = main(["combinatorics", "--out", os.path.join(out, "comb")])
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        {
+            "detector": {"omega": 0.2, "lambda": 0.01},
+            "worldline": {"kind": "accelerated", "alpha": 0.1},
+            "schedule": {"sigma": 1.0, "repetitions": 8},
+            "strings": {"length": 3},
+            "bounds": {"q": 0.1, "gamma": 0.01},
+            "oracle": {"env_dim": 4, "length": 5},
+            "bayes": {"bits": [0, 1, 0, 0], "epsilon": 0.0, "chunk": 2},
+        },
+    )
+    src = os.path.dirname(os.path.dirname(udwrm.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path), cfg],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["codes"] == dict.fromkeys(
+        ["transition", "oracle", "bounds", "bayes", "string-probs", "combinatorics"], 0
+    ), proc.stderr
+    assert report["loaded"] == []

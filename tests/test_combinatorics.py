@@ -1,7 +1,11 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import udwrm
 from udwrm.combinatorics import (
     crossing_count,
     cyclic_term_count,
@@ -32,6 +36,21 @@ def test_crossing_count_recurrence():
         assert crossing_count(k) == 2 * (k - 1) * (
             crossing_count(k - 1) + crossing_count(k - 2)
         )
+
+
+def test_crossing_count_deep_call_from_cold_start():
+    # a fresh interpreter has nothing cached, so a recursive form would
+    # need 1,500 nested frames here
+    code = "from udwrm import crossing_count; print(crossing_count(1500) % 1000003)"
+    src = os.path.dirname(os.path.dirname(udwrm.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert int(out.stdout) == crossing_count(1500) % 1000003
 
 
 def test_restricted_partition_counts():

@@ -3,6 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from udwrm import (
     BitString,
@@ -17,7 +18,7 @@ from udwrm import (
     random_weak_model,
     string_distribution,
 )
-from udwrm.oracle import FiniteRmModel, TrajectoryState, step_distribution
+from udwrm.oracle import FiniteRmModel, TrajectoryState, expm_hermitian, step_distribution
 
 
 def test_step_unitary_is_unitary():
@@ -94,6 +95,28 @@ def test_perturbative_expansion_third_order_residual():
 def test_propagator_consistency_small():
     m = random_model(env_dim=4, steps=2, seed=9)
     assert propagator_consistency(m, 0) < 1e-9
+
+
+def test_propagator_consistency_detects_phase_error(monkeypatch):
+    # a step exponential whose phase is off by 1e-8 must fail the 1e-9 check
+    monkeypatch.setattr(
+        "udwrm.oracle.expm_hermitian", lambda h, t=1.0: expm_hermitian(h, t) * np.exp(-1e-8j)
+    )
+    m = random_model(env_dim=4, steps=2, seed=9)
+    assert propagator_consistency(m, 0) > 1e-9
+
+
+@pytest.mark.parametrize("seed", [0, 9, 21])
+def test_step_unitaries_match_scipy_expm(seed):
+    m = random_model(env_dim=8, steps=3, seed=seed)
+    for k in range(3):
+        ref = expm(-1j * m.lam * m.weights[k] * m.generators[k])
+        np.testing.assert_allclose(m.step_unitary(k), ref, rtol=0, atol=1e-13)
+    w = random_weak_model(env_dim=8, steps=3, epsilon=1e-3, seed=seed).weak
+    base = np.kron(w.u_detector, np.eye(8))
+    for k in range(3):
+        ref = expm(-1j * w.coupling_epsilon * w.generators[k]) @ base
+        np.testing.assert_allclose(w.step_unitary(k), ref, rtol=0, atol=1e-13)
 
 
 def test_model_guards():

@@ -3,11 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.special import erfcx, zeta
 
 import udwrm
@@ -26,7 +28,7 @@ from udwrm import (
     q_direct,
 )
 from udwrm.combinatorics import CONTRACTION_ENUM_MAX
-from udwrm.response import QuadratureError
+from udwrm.response import QuadratureError, _panel_quadrature, _richardson
 
 
 def test_q_closed_inertial_value(detector):
@@ -138,6 +140,64 @@ def test_q_closed_accelerated_error_covers_references_property(omega, sigma, alp
         # remains the independent reference
         event("quadrature declined")
     assert_errors_cover(estimates)
+
+
+def quad_reference(kern, sched, d, truncated, eps0=0.1, levels=5):
+    """q_direct with adaptive QUADPACK levels, (value, abs_error).
+
+    Each cut-off level integrates the overlap-weighted correlator by two
+    scalar ``quad`` calls split at 100 eps, with the window overlap G(s)
+    from its own 240-node Gauss-Legendre rule per s (or the Gaussian's
+    closed form without truncation); the levels are extrapolated, and
+    their errors carried, as ``q_direct`` does.
+    """
+    lo, hi = sched.interaction_interval(0)
+    x, wts = np.polynomial.legendre.leggauss(240)
+    if truncated:
+        s_max = sched.t_on
+
+        def overlap(s):
+            u = 0.5 * (hi - lo - s) * x + 0.5 * (lo + s + hi)
+            return 0.5 * (hi - lo - s) * float(np.dot(wts, sched.chi(u) * sched.chi(u - s)))
+    else:
+        sig = sched.profile.width
+        s_max = 14.0 * sig
+
+        def overlap(s):
+            return sig * math.sqrt(math.pi) * math.exp(-s * s / (4.0 * sig**2))
+
+    def level_value(eps):
+        def f(s):
+            return overlap(s) * float(np.real(np.exp(-1j * d.omega * s) * kern.value(s, eps)))
+
+        cut = min(s_max, 100.0 * eps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            v1, e1 = quad(f, 0.0, cut, limit=400, epsabs=1e-16, epsrel=1e-13)
+            v2, e2 = quad(f, cut, s_max, limit=400, epsabs=1e-16, epsrel=1e-13)
+        return 2.0 * (v1 + v2), 2.0 * (e1 + e2)
+
+    values, errors = zip(*(level_value(eps0 / 2**j) for j in range(levels)))
+    best, spread = _richardson(values)
+    carried = max(errors) * math.prod((2**m + 1) / (2**m - 1) for m in range(1, levels))
+    return d.lam**2 * best, d.lam**2 * (spread + carried)
+
+
+@pytest.mark.parametrize("truncated", [True, False], ids=["truncated", "tails"])
+@pytest.mark.parametrize("alpha", [None, 0.1, 1.0, 5.0], ids=["inertial", "a0.1", "a1", "a5"])
+def test_q_direct_error_covers_quad_reference(alpha, truncated, schedule, detector):
+    kern = WightmanKernel(inertial() if alpha is None else accelerated(alpha))
+    r = q_direct(kern, schedule, detector, truncated=truncated)
+    ref, ref_err = quad_reference(kern, schedule, detector, truncated)
+    assert abs(r.value - ref) <= r.abs_error + ref_err, (r.value, ref, r.abs_error, ref_err)
+
+
+def test_panel_quadrature_raises_when_orders_run_out():
+    # an endpoint singularity defeats Gauss-Legendre at every order tried
+    value, err = _panel_quadrature(np.exp, [0.0, 1.0, 2.0])
+    assert abs(value - math.expm1(2.0)) <= err
+    with pytest.raises(QuadratureError, match="did not converge"):
+        _panel_quadrature(lambda s: 1.0 / np.sqrt(s), [0.0, 1.0])
 
 
 def test_q_direct_matches_closed_form(inertial_kernel, schedule, detector):
@@ -309,15 +369,16 @@ def test_f_fraction_stalls_for_touching_windows(inertial_kernel, detector):
         model.f_fraction((0, 1))
 
 
-@pytest.mark.parametrize("module", ["scipy.stats", "mpmath"])
+@pytest.mark.parametrize("module", ["scipy.stats", "mpmath", "scipy"])
 def test_import_skips_unused_module(module):
-    code = f"import sys, udwrm; print({module!r} in sys.modules)"
     src = os.path.dirname(os.path.dirname(udwrm.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-    )
-    assert out.stdout.strip() == "False"
+    for entry in ("udwrm", "udwrm.cli"):
+        code = f"import sys, {entry}; print({module!r} in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        )
+        assert out.stdout.strip() == "False", entry
 
 
 def test_strong_coupling_warns(inertial_kernel, schedule):
