@@ -20,6 +20,7 @@ from .bayes import (
     Posterior,
     delta_p_first_order,
     fapp_verdict,
+    posterior_trace,
     update_posterior,
 )
 from .bounds import (
@@ -56,6 +57,7 @@ from .oracle import (
     propagator_consistency,
     random_model,
     random_weak_model,
+    remainder_check,
     string_distribution,
 )
 from .response import (
@@ -137,6 +139,7 @@ __all__ = [
     "parity_correction_sum",
     "partition_term_count",
     "perturbative_corrections",
+    "posterior_trace",
     "propagator_consistency",
     "q_closed_accelerated",
     "q_closed_inertial",
@@ -145,6 +148,7 @@ __all__ = [
     "random_weak_model",
     "rate_report",
     "ratio_bounds",
+    "remainder_check",
     "restricted_partitions",
     "rm_string_prob",
     "string_distribution",

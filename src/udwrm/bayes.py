@@ -8,7 +8,8 @@ and is integrated with the trapezoid rule.
 
 from __future__ import annotations
 
-import math
+import functools
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Callable
 
@@ -17,7 +18,8 @@ import numpy as np
 from .strings import BitString, born_string_prob
 
 GRID_SIZE = 1024
-NORMALIZATION_TOL = 1e-12
+# a posterior whose trapezoid mass is further than this from 1 is rejected
+MASS_TOL = 1e-9
 
 
 class DegenerateEvidenceError(RuntimeError):
@@ -30,7 +32,9 @@ class CorrectionModel:
 
     ``delta_p(q, B)`` must accept a grid of q values and return the
     correction Delta P_q(B) on that grid; the likelihood under H2 is
-    Born + epsilon^order * delta_p.
+    Born + epsilon^order * delta_p.  It must be a pure function of (q, B):
+    ``posterior_trace`` evaluates it once per distinct string of a record
+    and reuses the result for every repeat of that string.
     """
 
     coupling_epsilon: float
@@ -52,6 +56,20 @@ class CorrectionModel:
         )
 
 
+@functools.lru_cache(maxsize=None)
+def _grid(grid_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The uniform q grid on [0, 1] and its trapezoid weights
+    dq * [1/2, 1, ..., 1, 1/2], built once per size and read-only."""
+    if grid_size < 2:
+        raise ValueError("grid_size must be >= 2")
+    q = np.linspace(0.0, 1.0, grid_size)
+    w = np.full(grid_size, 1.0 / (grid_size - 1))
+    w[0] = w[-1] = 0.5 / (grid_size - 1)
+    q.flags.writeable = False
+    w.flags.writeable = False
+    return q, w
+
+
 class Posterior:
     """Joint density over (hypothesis family, q) on a uniform grid.
 
@@ -63,7 +81,7 @@ class Posterior:
         self, h1: np.ndarray | None = None, h2: np.ndarray | None = None,
         grid_size: int = GRID_SIZE,
     ) -> None:
-        self.q = np.linspace(0.0, 1.0, grid_size)
+        self.q, self._weights = _grid(grid_size)
         if h1 is None:
             h1 = np.full(grid_size, 0.5)
         if h2 is None:
@@ -74,37 +92,73 @@ class Posterior:
             raise ValueError("density arrays must match the grid")
         if np.any(self.h1 < 0) or np.any(self.h2 < 0):
             raise ValueError("densities must be non-negative")
-        if abs(self.total_mass() - 1.0) > 1e-9:
+        if abs(self.total_mass() - 1.0) > MASS_TOL:
             raise ValueError(f"posterior mass {self.total_mass()} is not 1")
 
     def total_mass(self) -> float:
-        return float(np.trapezoid(self.h1, self.q) + np.trapezoid(self.h2, self.q))
+        return float(self._weights @ self.h1 + self._weights @ self.h2)
 
     def family_mass(self, i: int) -> float:
         if i not in (1, 2):
             raise ValueError("family index must be 1 or 2")
-        return float(np.trapezoid(self.h1 if i == 1 else self.h2, self.q))
+        return float(self._weights @ (self.h1 if i == 1 else self.h2))
 
     def q_marginal(self) -> np.ndarray:
         return self.h1 + self.h2
 
 
+def _likelihoods(q: np.ndarray, b: BitString, m: CorrectionModel):
+    """Per-family likelihoods of the string b on the grid: the Born product
+    q^n (1-q)^z, and that plus epsilon^order * delta_p clipped at zero."""
+    n = b.popcount
+    zeros = b.length - n
+    like1 = q**n * (1.0 - q) ** zeros
+    like2 = like1 + m.epsilon_power * np.asarray(m.delta_p(q, b), dtype=float)
+    like2 = np.clip(like2, 0.0, None)  # an order-eps model can dip below zero
+    return like1, like2
+
+
+def posterior_trace(
+    prior: Posterior, strings: Iterable[BitString], m: CorrectionModel
+) -> tuple[Posterior, list[tuple[float, float, float]]]:
+    """Bayes updates by each string in turn: multiply by the per-family
+    string likelihoods and renormalize over the whole (family, q) product
+    space.
+
+    Returns the final posterior and (mass_h1, mass_h2, total_mass) after
+    each update.  ``strings`` may be any iterable and is consumed once; each
+    distinct string's likelihood pair is evaluated once, and the densities
+    are updated in place on copies of the prior's arrays.
+    """
+    w = prior._weights
+    h1, h2 = prior.h1.copy(), prior.h2.copy()
+    likelihoods: dict[BitString, tuple[np.ndarray, np.ndarray]] = {}
+    masses = []
+    for b in strings:
+        pair = likelihoods.get(b)
+        if pair is None:
+            pair = likelihoods[b] = _likelihoods(prior.q, b, m)
+        h1 *= pair[0]
+        h2 *= pair[1]
+        evidence = float(w @ h1 + w @ h2)
+        if evidence <= 0.0:
+            raise DegenerateEvidenceError(
+                "all hypotheses assign zero probability to the observed string"
+            )
+        h1 /= evidence
+        h2 /= evidence
+        mass1, mass2 = float(w @ h1), float(w @ h2)
+        total = mass1 + mass2
+        if not abs(total - 1.0) <= MASS_TOL:
+            raise ValueError(f"posterior mass {total} is not 1")
+        masses.append((mass1, mass2, total))
+    return Posterior(h1, h2, grid_size=len(w)), masses
+
+
 def update_posterior(p: Posterior, b: BitString, m: CorrectionModel) -> Posterior:
     """One Bayes step: multiply by the per-family string likelihoods and
     renormalize over the whole (family, q) product space."""
-    n = b.popcount
-    zeros = b.length - n
-    like1 = p.q**n * (1.0 - p.q) ** zeros
-    like2 = like1 + m.epsilon_power * np.asarray(m.delta_p(p.q, b), dtype=float)
-    like2 = np.clip(like2, 0.0, None)  # an order-eps model can dip below zero
-    new1 = p.h1 * like1
-    new2 = p.h2 * like2
-    evidence = float(np.trapezoid(new1, p.q) + np.trapezoid(new2, p.q))
-    if evidence <= 0.0:
-        raise DegenerateEvidenceError(
-            "all hypotheses assign zero probability to the observed string"
-        )
-    return Posterior(new1 / evidence, new2 / evidence, grid_size=len(p.q))
+    return posterior_trace(p, (b,), m)[0]
 
 
 def fapp_verdict(

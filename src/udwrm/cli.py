@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -22,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bayes import CorrectionModel, Posterior, delta_p_first_order, update_posterior
+from .bayes import CorrectionModel, Posterior, delta_p_first_order, posterior_trace
 from .bounds import GammaProfile, loose_bound_scan, loose_bounds, n_limit
 from .combinatorics import (
     crossing_count,
@@ -205,13 +206,32 @@ def _cmd_bounds(args, config):
 
 def _cmd_bayes(args, config):
     block = config.get("bayes", {})
-    bits = block.get("bits")
-    if not bits:
-        print("bayes subcommand needs a 'bayes.bits' outcome list", file=sys.stderr)
-        return 2
-    eps = block.get("epsilon", 0.0)
-    chunk = block.get("chunk", 1)
-    steps = block.get("step_corrections")
+    bits = _config_value(
+        block,
+        "bayes",
+        "bits",
+        None,
+        lambda v: isinstance(v, list)
+        and len(v) > 0
+        and all(x in (0, 1) and _is_int(x) for x in v),
+        "a non-empty list of 0/1 integers",
+    )
+    chunk = _config_value(
+        block, "bayes", "chunk", 1, lambda v: _is_int(v) and v >= 1, "an integer >= 1"
+    )
+    eps = _config_value(
+        block, "bayes", "epsilon", 0.0, lambda v: _is_real(v) and v >= 0, "a number >= 0"
+    )
+    longest = min(chunk, len(bits))
+    steps = _config_value(
+        block,
+        "bayes",
+        "step_corrections",
+        None,
+        lambda v: v is None
+        or (isinstance(v, list) and len(v) >= longest and all(map(_is_real, v))),
+        f"a list of at least {longest} numbers",
+    )
 
     def delta(qgrid, b):
         if steps is None:
@@ -219,14 +239,15 @@ def _cmd_bayes(args, config):
         return delta_p_first_order(qgrid, steps[: b.length], b)
 
     m = CorrectionModel(coupling_epsilon=eps, delta_p=delta)
-    post = Posterior()
-    rows = [[0, post.family_mass(1), post.family_mass(2), post.total_mass()]]
-    for i in range(0, len(bits), chunk):
-        b = BitString(bits=tuple(bits[i : i + chunk]))
-        post = update_posterior(post, b, m)
-        rows.append(
-            [i + len(b.bits), post.family_mass(1), post.family_mass(2), post.total_mass()]
-        )
+    prior = Posterior()
+    chunks = (
+        BitString(bits=tuple(bits[i : i + chunk])) for i in range(0, len(bits), chunk)
+    )
+    _, masses = posterior_trace(prior, chunks, m)
+    rows = itertools.chain(
+        [[0, prior.family_mass(1), prior.family_mass(2), prior.total_mass()]],
+        ([min(i * chunk, len(bits)), *row] for i, row in enumerate(masses, start=1)),
+    )
     _emit(rows, ["observed", "mass_h1", "mass_h2", "total_mass"], args, config)
     return 0
 
@@ -235,11 +256,11 @@ def _cmd_oracle(args, config):
     from .oracle import (
         MAX_ENV_DIM,
         MAX_STRING_LENGTH,
-        exact_step_probability,
-        perturbative_corrections,
+        REMAINDER_CONTRACTION,
         propagator_consistency,
         random_model,
         random_weak_model,
+        remainder_check,
         string_distribution,
     )
 
@@ -268,16 +289,8 @@ def _cmd_oracle(args, config):
     norm = sum(string_distribution(m, length).values())
     rows.append(["tree_normalization", abs(norm - 1.0), 1e-10, abs(norm - 1.0) < 1e-10])
     mw = random_weak_model(d, 2, epsilon=eps, seed=args.seed)
-    p, q1, q2 = perturbative_corrections(mw, 0, mw.env_initial)
-    res = [
-        abs(
-            exact_step_probability(mw, 0, mw.env_initial, e)[1]
-            - (p + e * q1 + e * e * q2)[1]
-        )
-        for e in (eps, eps / 2)
-    ]
-    ratio = res[0] / res[1] if res[1] > 0 else float("inf")
-    rows.append(["eps_halving_ratio", ratio, 8.0, abs(ratio - 8.0) <= 1.6])
+    rc = remainder_check(mw, 0, mw.env_initial, eps)
+    rows.append(["cubic_remainder", rc.contraction, REMAINDER_CONTRACTION, rc.passed])
     dev = propagator_consistency(m, 0)
     rows.append(["propagator_consistency", dev, 1e-9, dev < 1e-9])
     _emit(rows, ["check", "value", "threshold", "passed"], args, config)

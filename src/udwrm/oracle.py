@@ -11,6 +11,7 @@ and for the Bayesian machinery, at dimensions where everything is cheap.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,14 @@ TREE_BLOCK = 1 << 18
 # Runge-Kutta steps of the propagator check: the first run, and the cap
 RK_STEPS = 16
 RK_MAX_STEPS = 1 << 20
+# absolute roundoff allowed in an exact step probability: 64 ulp of 1, six
+# times the largest deviation measured (at eps = 1e-6, d = 4, 5, 8, seeds
+# 0-199, where the true O(eps^3) remainder is below 1e-16)
+PROBABILITY_ROUNDOFF = 64 * np.finfo(float).eps
+# couplings eps / 2^j, j < REMAINDER_LEVELS, of the cubic remainder check;
+# each difference of residual / eps^3 must shrink by REMAINDER_CONTRACTION
+REMAINDER_LEVELS = 4
+REMAINDER_CONTRACTION = 0.75
 
 
 class ModelError(ValueError):
@@ -324,6 +333,68 @@ def exact_step_probability(
     psi = u @ np.kron(np.array([1.0, 0.0]), env)
     blocks = psi.reshape(2, m.env_dim)
     return np.array([float(np.sum(np.abs(blocks[b]) ** 2)) for b in (0, 1)])
+
+
+@dataclass(frozen=True)
+class RemainderCheck:
+    """Residuals of a second-order step expansion at eps_j = eps / 2^j.
+
+    ``contraction`` is the largest ratio |d_j| / |d_(j-1)| of successive
+    differences d_j = s_(j+1) - s_j of s_j = residual_j / eps_j^3, over the
+    d_j above their roundoff floor (0 when none is); ``bound_ratio`` is the
+    largest |residual_j| over its Taylor bound.
+    """
+
+    epsilons: tuple[float, ...]
+    residuals: tuple[float, ...]
+    contraction: float
+    bound_ratio: float
+
+    @property
+    def passed(self) -> bool:
+        return self.contraction <= REMAINDER_CONTRACTION and self.bound_ratio <= 1.0
+
+
+def remainder_check(
+    m: FiniteRmModel,
+    k: int,
+    env: np.ndarray,
+    epsilon: float,
+    corrections: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> RemainderCheck:
+    """Check that exact - (p + eps q1 + eps^2 q2) for outcome 1 at step k is
+    an O(eps^3) remainder, with (p, q1, q2) from ``perturbative_corrections``
+    unless given.
+
+    For a true expansion s_j = residual_j / eps_j^3 = c3 + c4 eps_j + ...
+    converges: its successive differences halve with eps_j.  A wrong
+    second-order coefficient adds delta q2 / eps_j, whose differences double.
+    A difference passes if it shrinks by REMAINDER_CONTRACTION or lies under
+    its floor PROBABILITY_ROUNDOFF (eps_j^-3 + eps_(j+1)^-3).  Each residual
+    must also stay within the Taylor remainder of <e^(i eps G) P e^(-i eps G)>,
+    (2 eps ||G||)^3 / 6, plus PROBABILITY_ROUNDOFF.
+    """
+    if m.weak is None:
+        raise ModelError("model carries no weak-structure decomposition")
+    p, q1, q2 = perturbative_corrections(m, k, env) if corrections is None else corrections
+    g_norm = float(np.linalg.norm(m.weak.generators[k], 2))
+    eps = [epsilon / 2**j for j in range(REMAINDER_LEVELS)]
+    res = [
+        float(exact_step_probability(m, k, env, e)[1] - (p + e * q1 + e * e * q2)[1])
+        for e in eps
+    ]
+    diffs = np.diff([r / e**3 for r, e in zip(res, eps)])
+    contraction = 0.0
+    for j in range(1, len(diffs)):
+        floor = PROBABILITY_ROUNDOFF * (eps[j] ** -3 + eps[j + 1] ** -3)
+        if abs(diffs[j]) > floor:
+            prev = abs(diffs[j - 1])
+            contraction = max(contraction, abs(diffs[j]) / prev if prev else math.inf)
+    bound_ratio = max(
+        abs(r) / ((2.0 * e * g_norm) ** 3 / 6.0 + PROBABILITY_ROUNDOFF)
+        for r, e in zip(res, eps)
+    )
+    return RemainderCheck(tuple(eps), tuple(res), contraction, bound_ratio)
 
 
 def propagator_consistency(m: FiniteRmModel, k: int, rtol: float = 1e-12) -> float:

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from udwrm import (
     Posterior,
     delta_p_first_order,
     fapp_verdict,
+    posterior_trace,
     update_posterior,
 )
 
@@ -107,3 +110,154 @@ def test_delta_p_first_order_scalar_and_grid():
 def test_delta_p_first_order_length_mismatch():
     with pytest.raises(ValueError):
         delta_p_first_order(0.1, [0.01], BitString(bits=(1, 0)))
+
+
+def update_posterior_reference(p: Posterior, b: BitString, m: CorrectionModel) -> Posterior:
+    """The one-step update as it stood before ``posterior_trace``: fresh
+    likelihoods, trapezoid evidence and a new Posterior on every call."""
+    n = b.popcount
+    zeros = b.length - n
+    like1 = p.q**n * (1.0 - p.q) ** zeros
+    like2 = like1 + m.epsilon_power * np.asarray(m.delta_p(p.q, b), dtype=float)
+    like2 = np.clip(like2, 0.0, None)  # an order-eps model can dip below zero
+    new1 = p.h1 * like1
+    new2 = p.h2 * like2
+    evidence = float(np.trapezoid(new1, p.q) + np.trapezoid(new2, p.q))
+    if evidence <= 0.0:
+        raise DegenerateEvidenceError(
+            "all hypotheses assign zero probability to the observed string"
+        )
+    return Posterior(new1 / evidence, new2 / evidence, grid_size=len(p.q))
+
+
+def sequential_reference(post: Posterior, strings, m: CorrectionModel):
+    """The CLI's former per-chunk loop, with trapezoid masses."""
+    rows = []
+    for b in strings:
+        post = update_posterior_reference(post, b, m)
+        mass1 = float(np.trapezoid(post.h1, post.q))
+        mass2 = float(np.trapezoid(post.h2, post.q))
+        rows.append((mass1, mass2, mass1 + mass2))
+    return post, rows
+
+
+def record(seed, outcomes=4000, rate=0.1):
+    """A Born-like outcome record, drawn as the benchmark's bayes record is."""
+    rng = random.Random(seed)
+    return [int(rng.random() < rate) for _ in range(outcomes)]
+
+
+def chunked(bits, chunk):
+    return [BitString(bits=tuple(bits[i : i + chunk])) for i in range(0, len(bits), chunk)]
+
+
+def step_model(eps, steps):
+    def delta(q, b):
+        return delta_p_first_order(q, steps[: b.length], b)
+
+    return CorrectionModel(coupling_epsilon=eps, delta_p=delta)
+
+
+@pytest.mark.parametrize(
+    "chunk, eps, steps",
+    [(1, 1e-3, [1e-3]), (3, 0.2, [0.05, -0.08, 0.03])],
+    ids=["chunk1", "chunk3"],
+)
+def test_trace_matches_sequential_reference(chunk, eps, steps):
+    m = step_model(eps, steps)
+    strings = chunked(record(seed=2, outcomes=4000 if chunk == 1 else 900), chunk)
+    ref_post, ref_rows = sequential_reference(Posterior(), strings, m)
+    post, rows = posterior_trace(Posterior(), iter(strings), m)
+    assert len(rows) == len(ref_rows) == len(strings)
+    np.testing.assert_allclose(rows, ref_rows, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(post.h1, ref_post.h1, rtol=1e-12, atol=1e-300)
+    np.testing.assert_allclose(post.h2, ref_post.h2, rtol=1e-12, atol=1e-300)
+    assert max(abs(total - 1.0) for _, _, total in rows) <= 1e-12
+    # the corrected family gets a different posterior mass
+    assert rows[-1][0] != rows[-1][1]
+
+
+def test_update_posterior_is_a_one_string_trace():
+    m = step_model(0.2, [0.05, -0.08])
+    b = BitString(bits=(1, 0))
+    post = update_posterior(Posterior(), b, m)
+    ref = update_posterior_reference(Posterior(), b, m)
+    np.testing.assert_allclose(post.h1, ref.h1, rtol=1e-13)
+    np.testing.assert_allclose(post.h2, ref.h2, rtol=1e-13)
+
+
+def test_trace_leaves_the_prior_unchanged():
+    grid = Posterior().q.size
+    h1 = np.linspace(0.0, 1.0, grid)
+    prior = Posterior(h1=h1, h2=h1.copy())
+    before1, before2 = prior.h1.copy(), prior.h2.copy()
+    post, _ = posterior_trace(prior, chunked(record(seed=5, outcomes=50), 1), step_model(1e-2, [0.1]))
+    np.testing.assert_array_equal(prior.h1, before1)
+    np.testing.assert_array_equal(prior.h2, before2)
+    assert post.h1 is not prior.h1 and post.h2 is not prior.h2
+
+
+def test_zero_prior_family_stays_exactly_zero():
+    grid = Posterior().q.size
+    prior = Posterior(h1=np.zeros(grid), h2=np.ones(grid))
+    post, rows = posterior_trace(prior, chunked(record(seed=3, outcomes=300), 2), step_model(0.1, [0.2, -0.1]))
+    assert not np.any(post.h1)
+    assert all(mass1 == 0.0 for mass1, _, _ in rows)
+    assert post.family_mass(2) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_degenerate_evidence_raises_at_the_reference_step():
+    def forbid_two_ones(q, b):
+        # the corrected family cannot produce the string (1, 1)
+        return np.full_like(q, -1e6 if b.bits == (1, 1) else 0.0)
+
+    m = CorrectionModel(coupling_epsilon=1.0, delta_p=forbid_two_ones)
+    grid = Posterior().q.size
+    prior = Posterior(h1=np.zeros(grid), h2=np.ones(grid))
+    strings = [BitString(bits=bits) for bits in ((0, 1), (1, 0), (0, 0), (1, 1), (0, 1))]
+
+    ref, ref_steps = prior, 0
+    with pytest.raises(DegenerateEvidenceError):
+        for b in strings:
+            ref = update_posterior_reference(ref, b, m)
+            ref_steps += 1
+
+    consumed = []
+
+    def feed():
+        for b in strings:
+            consumed.append(b)
+            yield b
+
+    with pytest.raises(DegenerateEvidenceError):
+        posterior_trace(prior, feed(), m)
+    assert len(consumed) == ref_steps + 1 == 4
+
+
+def test_delta_p_runs_once_per_distinct_string():
+    calls = []
+
+    def counted(q, b):
+        calls.append(b)
+        return delta_p_first_order(q, [1e-3, 2e-3, -1e-3][: b.length], b)
+
+    m = CorrectionModel(coupling_epsilon=1e-2, delta_p=counted)
+    for chunk in (1, 3):
+        calls.clear()
+        strings = chunked(record(seed=4, outcomes=600), chunk)
+        posterior_trace(Posterior(), iter(strings), m)
+        assert len(calls) == len(set(calls)) == len(set(strings))
+    assert len(set(chunked(record(seed=4, outcomes=600), 1))) == 2
+
+
+def test_posterior_masses_are_trapezoid_sums():
+    rng = np.random.default_rng(1)
+    grid = 257
+    q = np.linspace(0.0, 1.0, grid)
+    h1, h2 = rng.random(grid), rng.random(grid)
+    scale = np.trapezoid(h1, q) + np.trapezoid(h2, q)
+    p = Posterior(h1=h1 / scale, h2=h2 / scale, grid_size=grid)
+    assert p.family_mass(1) == pytest.approx(np.trapezoid(h1 / scale, q), rel=1e-14)
+    assert p.total_mass() == pytest.approx(1.0, abs=1e-14)
+    with pytest.raises(ValueError):
+        Posterior(grid_size=1)

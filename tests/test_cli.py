@@ -189,6 +189,53 @@ def test_bad_config_value_exits_2_naming_the_key(
         assert out == ""
 
 
+BAYES_BLOCK = {"bits": [0, 1, 0], "chunk": 1, "epsilon": 1e-3}
+
+
+@pytest.mark.parametrize(
+    "key, overrides",
+    [
+        ("bits", [{"bits": v} for v in ([], [0, 2], [True, False], [0.0, 1.0], "010", None)]),
+        ("chunk", [{"chunk": v} for v in (0, -1, 1.5, True, "2")]),
+        ("epsilon", [{"epsilon": v} for v in (-1e-3, float("inf"), float("nan"), "0.1", None)]),
+        (
+            "step_corrections",
+            [
+                {"step_corrections": []},
+                {"chunk": 2, "step_corrections": [1e-3]},
+                {"chunk": 5, "step_corrections": [1e-3, 1e-3]},
+                {"step_corrections": [float("nan")]},
+                {"step_corrections": [True]},
+                {"step_corrections": 1e-3},
+            ],
+        ),
+    ],
+    ids=["bits", "chunk", "epsilon", "step_corrections"],
+)
+def test_bad_bayes_config_exits_2_naming_the_key(tmp_path, capsys, monkeypatch, key, overrides):
+    def no_work(*_):
+        raise AssertionError("work started before the config was validated")
+
+    monkeypatch.setattr("udwrm.cli.posterior_trace", no_work)
+    for override in overrides:
+        cfg = write_config(tmp_path, {"bayes": {**BAYES_BLOCK, **override}})
+        code, out, err = run(capsys, "bayes", "--config", cfg)
+        assert code == 2, override
+        assert f"bad config: bayes.{key} must be" in err, err
+        assert out == ""
+
+
+def test_bayes_step_corrections_cover_the_longest_chunk(tmp_path, capsys):
+    # a chunk longer than the record needs only one correction per outcome
+    cfg = write_config(
+        tmp_path, {"bayes": {**BAYES_BLOCK, "chunk": 5, "step_corrections": [1e-3, 0.0, -1e-3]}}
+    )
+    code, out, _ = run(capsys, "bayes", "--config", cfg)
+    assert code == 0
+    rows = out.strip().splitlines()[2:]
+    assert [r.split(",")[0] for r in rows] == ["0", "3"]
+
+
 # Runs every subcommand in an interpreter whose import system refuses scipy,
 # then reports the exit codes and any scipy module that got loaded.
 NO_SCIPY_SCRIPT = """

@@ -16,6 +16,7 @@ from udwrm import (
     propagator_consistency,
     random_model,
     random_weak_model,
+    remainder_check,
     string_distribution,
 )
 from udwrm.oracle import FiniteRmModel, TrajectoryState, expm_hermitian, step_distribution
@@ -207,3 +208,30 @@ def test_step_unitaries_built_once_per_model(monkeypatch):
     string_distribution(m, 6)
     exact_string_prob(m, BitString(bits=(1, 0, 1)))
     assert calls == list(range(6))
+
+
+def test_remainder_check_passes_and_a_wrong_q2_fails_on_seeds_0_to_399():
+    # the CLI's oracle model (env_dim 8, step 0, eps 1e-3); at seeds 23, 303,
+    # 307 and 347 the residual's cubic coefficient is accidentally small and
+    # the former eps-halving ratio left 8 +- 1.6
+    mutant_fails = []
+    for seed in range(400):
+        mw = random_weak_model(env_dim=8, steps=2, epsilon=1e-3, seed=seed)
+        p, q1, q2 = perturbative_corrections(mw, 0, mw.env_initial)
+        check = remainder_check(mw, 0, mw.env_initial, 1e-3, corrections=(p, q1, q2))
+        assert check.passed, (seed, check)
+        mutant = remainder_check(mw, 0, mw.env_initial, 1e-3, corrections=(p, q1, 1.01 * q2))
+        mutant_fails.append(not mutant.passed)
+    assert all(mutant_fails)
+
+
+def test_remainder_check_differences_halve_and_double():
+    mw = random_weak_model(env_dim=8, steps=2, epsilon=1e-3, seed=1)
+    p, q1, q2 = perturbative_corrections(mw, 0, mw.env_initial)
+    for scale, ratio in ((1.0, 0.5), (1.01, 2.0)):
+        check = remainder_check(mw, 0, mw.env_initial, 1e-3, corrections=(p, q1, scale * q2))
+        s = [r / e**3 for r, e in zip(check.residuals, check.epsilons)]
+        d = np.diff(s)
+        np.testing.assert_allclose(d[1:] / d[:-1], ratio, rtol=0.1)
+    assert check.contraction == pytest.approx(2.0, rel=0.01)
+    assert not check.passed
