@@ -15,6 +15,9 @@ import itertools
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
+from .combinatorics import CONTRACTION_ENUM_MAX, cycle_cover_sums
 from .kernel import WightmanKernel, extreme_point_value
 from .schedule import RepetitionSchedule
 
@@ -187,32 +190,6 @@ def n_limit(q: float, gamma: float, cap: int = N_LIMIT_CAP) -> int:
     return cap
 
 
-def _pair_bound(g: float) -> float:
-    return 2.0 * g * g
-
-
-def _triple_bound(ga: float, gb: float, gc: float) -> float:
-    return 8.0 * ga * gb * gc
-
-
-def _quad_bound(gp: GammaProfile, ints: tuple[int, int, int, int]) -> float:
-    """Upper bound on a four-window correction fraction: cyclic monomials
-    (weight 16 each) plus squared-pair monomials (weight 4 each)."""
-    i, j, k, l = ints
-    g = gp.pair
-    cyclic = (
-        g(i, j) * g(j, l) * g(l, k) * g(k, i)
-        + g(i, l) * g(l, k) * g(k, j) * g(j, i)
-        + g(i, k) * g(k, j) * g(j, l) * g(l, i)
-    )
-    squared = (
-        g(i, j) ** 2 * g(k, l) ** 2
-        + g(i, k) ** 2 * g(j, l) ** 2
-        + g(i, l) ** 2 * g(j, k) ** 2
-    )
-    return 16.0 * cyclic + 4.0 * squared
-
-
 def tight_bounds(
     history: tuple[int, ...],
     query: int,
@@ -221,12 +198,18 @@ def tight_bounds(
 ) -> BoundPair:
     """History-specific bounds from per-pair ratios, n = len(history) + 1.
 
-    Uses the sign pattern of the correction fractions (even window count:
-    in [0, bound]; odd: in [-bound, 0]) on the conditional-probability
-    ratio.  Beyond n = 4 the pairing enumeration is not closed-form here,
-    so the loose bounds are returned, labelled "loose", with a warning.
-    Otherwise the result is intersected with the loose bounds, which are
-    occasionally narrower on one side.
+    B_S, the bound on the correction fraction of a window subset S, is the
+    cycle-cover sum over S with every link the scalar gamma_ij: a 2-cycle
+    weighs 2 gamma^2, an m-cycle 2^m times its gamma product.  The fractions
+    follow a sign pattern (even |S|: in [0, B_S]; odd: in [-B_S, 0]), so
+    over all windows A and the history H = A - {query},
+
+        upper = q (1 + sum_{even S in A} B_S) / (1 - sum_{odd S in H} B_S),
+        lower = q (1 - sum_{odd S in A} B_S) / (1 + sum_{even S in H} B_S).
+
+    The result is intersected with the loose bounds, which are occasionally
+    narrower on one side.  Beyond n = CONTRACTION_ENUM_MAX the loose bounds
+    are returned, labelled "loose", with a warning.
     """
     if list(history) != sorted(set(history)):
         raise ValueError("history must be strictly increasing")
@@ -236,45 +219,26 @@ def tight_bounds(
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
     loose = loose_bounds(n, q, gp.gamma)
-    if n > 4:
+    if n > CONTRACTION_ENUM_MAX:
         warnings.warn(
-            f"tight bounds implemented for n <= 4; history of order {n} "
-            "falls back to loose bounds",
+            f"tight bounds implemented for n <= {CONTRACTION_ENUM_MAX}; history of "
+            f"order {n} falls back to loose bounds",
             stacklevel=2,
         )
         return loose
-    if n == 1:
-        return BoundPair(q, q, kind="tight")
 
-    g = gp.pair
-    if n == 2:
-        (n1,) = history
-        lower, upper = q, q * (1.0 + _pair_bound(g(n1, query)))
-    elif n == 3:
-        n1, n2 = history
-        pair_sq = (
-            _pair_bound(g(n1, n2))
-            + _pair_bound(g(n1, query))
-            + _pair_bound(g(n2, query))
-        )
-        lower = q * (1.0 - _triple_bound(g(n1, n2), g(n2, query), g(n1, query))) / (
-            1.0 + _pair_bound(g(n1, n2))
-        )
-        upper = q * (1.0 + pair_sq)
-    else:
-        n1, n2, n3 = history
-        ints = (n1, n2, n3, query)
-        pairs = [(a, b) for idx, a in enumerate(ints) for b in ints[idx + 1 :]]
-        pair_sum = sum(_pair_bound(g(a, b)) for a, b in pairs)
-        triple_sum = sum(
-            _triple_bound(g(a, b), g(b, c), g(a, c))
-            for a, b, c in itertools.combinations(ints, 3)
-        )
-        lower = q / (1.0 + sum(_pair_bound(g(a, b)) for a, b in pairs if query not in (a, b)))
-        upper = (
-            q
-            * (1.0 + pair_sum + triple_sum + _quad_bound(gp, ints))
-            / (1.0 - _triple_bound(g(n1, n2), g(n2, n3), g(n1, n3)))
-        )
-    # guarantee tight within loose even where the closed forms cross
+    windows = tuple(history) + (query,)
+    gammas = np.zeros((n, n))
+    for a, b in itertools.combinations(range(n), 2):
+        gammas[a, b] = gammas[b, a] = gp.pair(windows[a], windows[b])
+    covers = cycle_cover_sums(n, lambda a, _side, b: gammas[a : a + 1, b : b + 1])
+    totals = [0.0, 0.0]  # even, odd subsets of all windows
+    history_totals = [0.0, 0.0]  # even, odd subsets of the history
+    for subset, bound in enumerate(covers.tolist()[1:], start=1):
+        parity = bin(subset).count("1") % 2
+        totals[parity] += bound
+        if subset < 1 << (n - 1):
+            history_totals[parity] += bound
+    upper = q * (1.0 + totals[0]) / (1.0 - history_totals[1])
+    lower = q * (1.0 - totals[1]) / (1.0 + history_totals[0])
     return BoundPair(max(lower, loose.lower), min(upper, loose.upper), kind="tight")

@@ -281,8 +281,15 @@ def _cmd_oracle(args, config):
         lambda v: _is_int(v) and 1 <= v <= MAX_STRING_LENGTH,
         f"an integer in [1, {MAX_STRING_LENGTH}]",
     )
+    # above 1e-3 the O(eps^4) terms can still grow between halvings, and the
+    # remainder check fails on true models (d = 8: eps = 3e-3, 1e-2)
     eps = _config_value(
-        block, "oracle", "epsilon", 1e-3, lambda v: _is_real(v) and v > 0, "a number > 0"
+        block,
+        "oracle",
+        "epsilon",
+        1e-3,
+        lambda v: _is_real(v) and 0 < v <= 1e-3,
+        "a number in (0, 1e-3]",
     )
     rows = []
     m = random_model(d, length, seed=args.seed)

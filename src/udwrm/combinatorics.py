@@ -4,8 +4,13 @@ Every multi-interval correlation integral in this package is indexed by a
 pairing pattern: 2k interaction-interval endpoints matched into k pairs such
 that no pair stays inside a single interval.  This module counts and
 enumerates those patterns exactly (big-integer arithmetic throughout), along
-with the restricted partitions and tableau fillings used to organize them
-into closed-form bound terms.
+with the restricted partitions that organize them by connected component.
+
+Each interval has exactly two endpoints, so a pattern is a union of cycles
+over intervals, and a sum over patterns is a sum over cycle covers.
+``cycle_cover_sums`` evaluates such sums by a subset dynamic programme
+without listing the patterns; it is the one place the package sums over
+them.  The enumeration stays as the reference and the counting API.
 
 Note on the pairing-count base cases: the recurrence defining ``crossing_count``
 fixes c(0)=1 and c(1)=0 (the empty pairing exists; a single interval cannot
@@ -17,7 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+
+import numpy as np
 
 WICK_COUNT_MAX = 20
 CONTRACTION_ENUM_MAX = 6
@@ -220,84 +226,57 @@ def enumerate_contraction_classes(
     return classes
 
 
-def _inequivalent_fills(p: RestrictedPartition, labels: tuple[int, ...]):
-    """Assignments of labels to rows, deduplicated under equal-length row swaps."""
-    if sum(p.parts) != len(labels):
-        raise ValueError("partition size must match the number of labels")
+def cycle_cover_sums(k: int, link) -> np.ndarray:
+    """Sums over the cross-interval pairings of every subset of k intervals.
 
-    def recurse(parts, pool):
-        if not parts:
-            yield []
-            return
-        m = parts[0]
-        anchor_needed = parts[1:] and parts[1] == m
-        for combo in combinations(sorted(pool), m):
-            # rows of equal length are kept in increasing order of first label
-            rest = [x for x in pool if x not in combo]
-            for tail in recurse(parts[1:], rest):
-                if anchor_needed and tail and tail[0][0] < combo[0]:
-                    continue
-                yield [combo] + tail
+    A pairing is a union of cycles over intervals.  A cycle enters each of
+    its intervals at one endpoint (side 0 or 1) and leaves at the other;
+    ``link(a, side, b)`` is the matrix for leaving interval a, entered at
+    ``side``, towards interval b, whichever endpoint of b it meets.  A cycle
+    weighs the trace of its links' product, taken from its smallest interval
+    entered at side 0; a pairing weighs the product of its cycles.
 
-    yield from recurse(list(p.parts), list(labels))
-
-
-def _row_cycles(row: tuple[int, ...]):
-    """Free cyclic orders of a row, each as a multiset of adjacent pairs."""
-    if len(row) == 2:
-        a, b = row
-        yield ((a, b) if a < b else (b, a),) * 2
-        return
-    first, rest = row[0], row[1:]
-    for perm in permutations(rest):
-        if perm[0] > perm[-1]:
-            continue  # orientation representative
-        cycle = (first,) + perm
-        pairs = []
-        for i in range(len(cycle)):
-            a, b = cycle[i], cycle[(i + 1) % len(cycle)]
-            pairs.append((a, b) if a < b else (b, a))
-        yield tuple(sorted(pairs))
-
-
-def cyclic_bound_terms(
-    p: RestrictedPartition, interval_labels: list[int] | tuple[int, ...]
-) -> list[tuple[tuple[tuple[int, int], ...], int]]:
-    """Pair-ratio monomials bounding the partition's pairing patterns.
-
-    Returns (monomial, multiplicity) entries, where a monomial is a sorted
-    multiset of interval pairs (i, j); substituting the adjacent-ratio value
-    for each pair yields the closed-form bound contribution.  Multiplicities
-    sum to partition_term_count(p).
+    Held-Karp paths from each smallest interval s, over (visited mask,
+    current interval) with both entry sides summed into the next link, give
+    W[C], the total weight of the cycles through exactly the intervals in C.
+    The covers then follow F[0] = 1, F[S] = sum_{C ∋ min S} W[C] F[S - C].
+    Returns F as an array indexed by the bit mask S; with unit 1x1 links
+    F[2^k - 1] = crossing_count(k).
     """
-    labels = tuple(interval_labels)
-    n_terms = partition_term_count(p)
-    n_monomials = cyclic_term_count(p)
-    if n_terms % n_monomials != 0:
-        raise RuntimeError("term count not divisible by monomial count")
-    multiplicity = n_terms // n_monomials
-
-    out: list[tuple[tuple[tuple[int, int], ...], int]] = []
-    seen: set[tuple[tuple[int, int], ...]] = set()
-    for fill in _inequivalent_fills(p, labels):
-        def expand(rows):
-            if not rows:
-                yield ()
-                return
-            for head in _row_cycles(rows[0]):
-                for tail in expand(rows[1:]):
-                    yield tuple(sorted(head + tail))
-
-        for monomial in expand(fill):
-            if monomial in seen:
-                raise RuntimeError("duplicate monomial across fills")
-            seen.add(monomial)
-            out.append((monomial, multiplicity))
-    if len(out) != n_monomials:
-        raise RuntimeError(
-            f"expected {n_monomials} monomials, produced {len(out)}"
-        )
-    return sorted(out)
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    size = 1 << k
+    weights = [0.0] * size
+    step = {  # leaving an interval entered at either side
+        (a, b): np.add(link(a, 0, b), link(a, 1, b))
+        for a in range(k)
+        for b in range(k)
+        if a != b
+    }
+    for s in range(k - 1):
+        # paths[mask][c]: the summed link products of the paths from s
+        # through the intervals of mask, ending at c
+        paths = {1 << s | 1 << b: {b: np.asarray(link(s, 0, b))} for b in range(s + 1, k)}
+        for mask in range(size):
+            for c, product in paths.pop(mask, {}).items():
+                weights[mask] += float(np.vdot(product, step[c, s].T))
+                for b in range(s + 1, k):
+                    if not mask >> b & 1:
+                        grown = product @ step[c, b]
+                        ends = paths.setdefault(mask | 1 << b, {})
+                        ends[b] = ends[b] + grown if b in ends else grown
+    covers = [1.0] + [0.0] * (size - 1)
+    for full in range(1, size):
+        low = full & -full
+        rest = sub = full ^ low
+        total = 0.0
+        while True:
+            total += weights[sub | low] * covers[rest ^ sub]
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+        covers[full] = total
+    return np.array(covers)
 
 
 def unrestricted_partition_count(k: int) -> int:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .combinatorics import CONTRACTION_ENUM_MAX, ContractionClass, enumerate_contraction_classes
+from .combinatorics import CONTRACTION_ENUM_MAX, cycle_cover_sums
 from .kernel import WightmanKernel
 from .schedule import RepetitionSchedule
 
@@ -407,7 +407,10 @@ class ResponseModel:
     interpolant, K(T g + x - y) ~ sum_mn C[m, n] l_m(x) l_n(y).  Each window
     has exactly two endpoints, so a contraction class is a union of cycles
     over windows, and its integral is the product of the cycle traces of
-    alternating window moment matrices and correlator matrices.
+    alternating window moment matrices and correlator matrices.  The sum
+    over all classes is a sum over cycle covers, which
+    ``cycle_cover_sums`` evaluates by a subset dynamic programme over these
+    link matrices, without listing the classes.
     """
 
     def __init__(
@@ -455,13 +458,17 @@ class ResponseModel:
         if gaps in self._f_cache:
             return self._f_cache[gaps]
 
-        classes = enumerate_contraction_classes(k, gaps)
         eps = float(np.finfo(float).eps)
         total = None
         for p in CHEB_RESOLUTIONS:
-            values = [self._class_value(cls, p) for cls in classes]
-            prev, total = total, math.fsum(values)
-            floor = ROUNDOFF_UNITS * eps * math.fsum(abs(v) for v in values)
+
+            def link(a: int, side: int, b: int) -> np.ndarray:
+                return self._link(p, side, gaps[a] - gaps[b])
+
+            prev, total = total, cycle_cover_sums(k, link)[-1]
+            # the same sums over entrywise |link| bound sum |class value|
+            magnitude = cycle_cover_sums(k, lambda a, side, b: np.abs(link(a, side, b)))[-1]
+            floor = ROUNDOFF_UNITS * eps * magnitude
             if prev is not None and abs(total - prev) <= floor:
                 norm = self._calq**k
                 result = (total / norm, (abs(total - prev) + floor) / norm)
@@ -471,30 +478,6 @@ class ResponseModel:
             f"correction integrals over gaps {gaps} did not converge by "
             f"p = {p}: last change {abs(total - prev):g} against floor {floor:g}"
         )
-
-    def _class_value(self, cls: ContractionClass, p: int) -> float:
-        """Product over the class's cycles of the traces of link products."""
-        partner = {}
-        for a, b in cls.edges:
-            partner[a] = b
-            partner[b] = a
-        value = 1.0
-        seen = set()
-        for lab in cls.interval_labels:
-            if lab in seen:
-                continue
-            start = entry = (lab, 0)
-            product = None
-            while True:
-                window, side = entry
-                seen.add(window)
-                entry = partner[(window, 1 - side)]
-                link = self._link(p, side, window - entry[0])
-                product = link if product is None else product @ link
-                if entry == start:
-                    break
-            value *= float(np.trace(product))
-        return value
 
     def _link(self, p: int, side: int, gap: int) -> np.ndarray:
         """A window entered at endpoint ``side`` (M, or M^T from the earlier

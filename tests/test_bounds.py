@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from udwrm import (
     GammaProfile,
+    HistoryRecord,
     HorizonExceededError,
     loose_bounds,
     n_limit,
@@ -12,7 +14,7 @@ from udwrm import (
     tight_bounds,
 )
 from udwrm.bounds import MonotonicityError
-from udwrm.combinatorics import crossing_count
+from udwrm.combinatorics import CONTRACTION_ENUM_MAX, crossing_count, cycle_cover_sums
 
 
 Q, GAMMA = 0.1, 0.01
@@ -147,10 +149,115 @@ def test_tight_bounds_inside_loose():
 
 def test_tight_bounds_past_four_windows_are_loose():
     gp = GammaProfile.constant(GAMMA)
+    n = CONTRACTION_ENUM_MAX + 1
     with pytest.warns(UserWarning, match="falls back to loose bounds"):
-        b = tight_bounds((0, 1, 2, 3), 4, Q, gp)
-    assert b == loose_bounds(5, Q, GAMMA)
+        b = tight_bounds(tuple(range(n - 1)), n - 1, Q, gp)
+    assert b == loose_bounds(n, Q, GAMMA)
     assert b.kind == "loose"
+
+
+def pair_bound(g):
+    return 2.0 * g * g
+
+
+def triple_bound(ga, gb, gc):
+    return 8.0 * ga * gb * gc
+
+
+def quad_bound(g, i, j, k, l):
+    """Cyclic monomials (weight 16 each) plus squared-pair monomials
+    (weight 4 each)."""
+    cyclic = (
+        g(i, j) * g(j, l) * g(l, k) * g(k, i)
+        + g(i, l) * g(l, k) * g(k, j) * g(j, i)
+        + g(i, k) * g(k, j) * g(j, l) * g(l, i)
+    )
+    squared = (
+        g(i, j) ** 2 * g(k, l) ** 2
+        + g(i, k) ** 2 * g(j, l) ** 2
+        + g(i, l) ** 2 * g(j, k) ** 2
+    )
+    return 16.0 * cyclic + 4.0 * squared
+
+
+def closed_form_bound(g, windows):
+    """Bound on the correction fraction of two to four windows."""
+    if len(windows) == 2:
+        return pair_bound(g(*windows))
+    if len(windows) == 3:
+        a, b, c = windows
+        return triple_bound(g(a, b), g(b, c), g(a, c))
+    return quad_bound(g, *windows)
+
+
+def subset_bounds(gp, windows):
+    """(subset of windows, closed-form bound) for every subset of two or more."""
+    return [
+        (subset, closed_form_bound(gp.pair, subset))
+        for size in range(2, len(windows) + 1)
+        for subset in itertools.combinations(windows, size)
+    ]
+
+
+def test_scalar_cycle_covers_match_closed_forms(inertial_kernel, schedule):
+    # distinct gaps give distinct gamma_ij, so every cyclic order is told apart
+    gp = GammaProfile.from_kernel(inertial_kernel, schedule)
+    windows = (0, 1, 3, 7)
+    g = gp.pair
+    covers = cycle_cover_sums(
+        4, lambda a, _side, b: [[g(windows[min(a, b)], windows[max(a, b)])]]
+    )
+    for subset, bound in subset_bounds(gp, windows):
+        mask = sum(1 << windows.index(w) for w in subset)
+        assert covers[mask] == pytest.approx(bound, rel=1e-14, abs=0.0), subset
+
+
+def vertex_sums(signed_bounds):
+    """Every sum that takes each fraction at 0 or at its signed bound."""
+    return [
+        math.fsum(f for pick, f in zip(picks, signed_bounds) if pick)
+        for picks in itertools.product((0, 1), repeat=len(signed_bounds))
+    ]
+
+
+@pytest.mark.parametrize("profile", ["constant", "kernel"])
+def test_tight_bounds_contain_every_sign_rule_extreme_at_four_windows(
+    profile, inertial_kernel, schedule
+):
+    # P = q (1 + N) / (1 + D): N sums the fractions of every window subset,
+    # D those without the query, each fraction in [0, B] (even subsets) or
+    # [-B, 0] (odd); the bounds hold N and D to these ranges separately
+    if profile == "constant":
+        gp, history, query = GammaProfile.constant(GAMMA), (0, 1, 2), 3
+    else:
+        gp, history, query = GammaProfile.from_kernel(inertial_kernel, schedule), (0, 1, 3), 4
+    bound = tight_bounds(history, query, Q, gp)
+    signed = [(s, -b if len(s) % 2 else b) for s, b in subset_bounds(gp, history + (query,))]
+    nums = vertex_sums([f for _, f in signed])
+    dens = vertex_sums([f for s, f in signed if query not in s])
+    probabilities = [Q * (1.0 + num) / (1.0 + den) for num in nums for den in dens]
+    assert min(probabilities) >= bound.lower - 1e-14 * Q, (min(probabilities), bound)
+    assert max(probabilities) <= bound.upper + 1e-14 * Q, (max(probabilities), bound)
+
+
+@pytest.mark.parametrize(
+    "history, query", [((0, 1, 2, 3), 4), ((0, 2, 3, 5), 6), ((0, 1, 2, 3, 4), 5)]
+)
+def test_tight_bounds_at_five_and_six_windows(
+    history, query, full_model, inertial_kernel, schedule
+):
+    gp = GammaProfile.from_kernel(inertial_kernel, schedule)
+    q = full_model.q
+    n = len(history) + 1
+    tight = tight_bounds(history, query, q, gp)
+    loose = loose_bounds(n, q, gp.gamma)
+    assert tight.kind == "tight"
+    assert loose.lower <= tight.lower <= tight.upper <= loose.upper
+    assert tight.upper - tight.lower < loose.upper - loose.lower
+    if n == 5:
+        p = full_model.conditional_excitation(HistoryRecord(excitations=history, query=query))
+        slack = 10.0 * p.abs_error
+        assert tight.lower - slack <= p.value <= tight.upper + slack
 
 
 def test_tight_bounds_widen_with_gamma():

@@ -164,7 +164,7 @@ def test_string_probs_rows_ignore_seed_and_quadrature(tmp_path, capsys):
     [
         ("oracle", "oracle", "env_dim", [0, 65, 2.5, True, "8"]),
         ("oracle", "oracle", "length", [0, 21, 4.0, None]),
-        ("oracle", "oracle", "epsilon", [0.0, -1e-3, float("inf"), "1e-3"]),
+        ("oracle", "oracle", "epsilon", [0.0, -1e-3, float("inf"), "1e-3", 3e-3, 1e-2]),
         ("bounds", "bounds", "q", [0.0, 1.0, -0.1, None]),
         ("bounds", "bounds", "gamma", [0.0, 1.0, 2.0, "0.01"]),
         ("bounds", "bounds", "n_max", [0, -3, 5.5, False]),

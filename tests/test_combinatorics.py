@@ -3,11 +3,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import udwrm
 from udwrm.combinatorics import (
     crossing_count,
+    cycle_cover_sums,
     cyclic_term_count,
     double_factorial,
     enumerate_contraction_classes,
@@ -84,6 +86,14 @@ def test_enumerate_classes_count_matches_multiplicity():
     for k in (2, 3, 4):
         classes = enumerate_contraction_classes(k, tuple(range(k)))
         assert len(classes) == crossing_count(k)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_cycle_cover_sums_count_pairings_of_every_subset(k):
+    covers = cycle_cover_sums(k, lambda a, side, b: np.ones((1, 1)))
+    assert covers[-1] == crossing_count(k)
+    for subset, count in enumerate(covers):
+        assert count == crossing_count(bin(subset).count("1")), subset
 
 
 def test_enumerate_classes_edges_cover_all_intervals():

@@ -28,7 +28,13 @@ from udwrm import (
     q_direct,
 )
 from udwrm.combinatorics import CONTRACTION_ENUM_MAX
-from udwrm.response import QuadratureError, _panel_quadrature, _richardson
+from udwrm.response import (
+    CHEB_RESOLUTIONS,
+    ROUNDOFF_UNITS,
+    QuadratureError,
+    _panel_quadrature,
+    _richardson,
+)
 
 
 def test_q_closed_inertial_value(detector):
@@ -344,6 +350,60 @@ def test_f_fraction_error_covers_reference(kind, gaps, full_model, full_accelera
     val, err = model.f_fraction(gaps)
     ref = reference_fraction(model, gaps)
     assert abs(val - ref) <= err, (val, ref, err)
+
+
+def class_value(model, cls, p):
+    """One contraction class at Chebyshev resolution p: the product over its
+    cycles of the traces of the link products, each cycle walked from its
+    smallest window entered at side 0."""
+    partner = {}
+    for a, b in cls.edges:
+        partner[a] = b
+        partner[b] = a
+    value = 1.0
+    seen = set()
+    for lab in cls.interval_labels:
+        if lab in seen:
+            continue
+        start = entry = (lab, 0)
+        product = None
+        while True:
+            window, side = entry
+            seen.add(window)
+            entry = partner[(window, 1 - side)]
+            link = model._link(p, side, window - entry[0])
+            product = link if product is None else product @ link
+            if entry == start:
+                break
+        value *= float(np.trace(product))
+    return value
+
+
+def enumerated_fraction(model, gaps):
+    """The correction fraction as a sum over the enumerated classes, with
+    the resolution doubling until two sums agree to the roundoff floor."""
+    classes = enumerate_contraction_classes(len(gaps), gaps)
+    eps = float(np.finfo(float).eps)
+    total = None
+    for p in CHEB_RESOLUTIONS:
+        values = [class_value(model, cls, p) for cls in classes]
+        prev, total = total, math.fsum(values)
+        floor = ROUNDOFF_UNITS * eps * math.fsum(abs(v) for v in values)
+        if prev is not None and abs(total - prev) <= floor:
+            return total / model.calq ** len(gaps)
+    raise QuadratureError(f"enumerated sum over gaps {gaps} did not converge")
+
+
+@pytest.mark.parametrize("k", range(2, CONTRACTION_ENUM_MAX + 1))
+@pytest.mark.parametrize("kind", ["inertial", "accelerated"])
+def test_f_fraction_matches_class_enumeration(kind, k, full_model, full_accelerated_model):
+    # every gap set of k windows among the first CONTRACTION_ENUM_MAX
+    model = full_model if kind == "inertial" else full_accelerated_model
+    for rest in itertools.combinations(range(1, CONTRACTION_ENUM_MAX), k - 1):
+        gaps = (0,) + rest
+        val, err = model.f_fraction(gaps)
+        ref = enumerated_fraction(model, gaps)
+        assert abs(val - ref) <= err, (gaps, val, ref, err)
 
 
 @pytest.mark.parametrize("gaps", [((0, 1, 3), (0, 2, 3)), ((0, 1, 2, 4), (0, 2, 3, 4))])
