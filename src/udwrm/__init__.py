@@ -88,6 +88,7 @@ from .strings import (
     rate_report,
     ratio_bounds,
     rm_string_prob,
+    rm_string_table,
 )
 
 __all__ = [
@@ -151,6 +152,7 @@ __all__ = [
     "remainder_check",
     "restricted_partitions",
     "rm_string_prob",
+    "rm_string_table",
     "string_distribution",
     "tight_bounds",
     "truncated_gaussian",

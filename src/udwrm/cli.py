@@ -6,7 +6,7 @@ loose-bound horizon table, Bayesian posterior traces, the finite-dimensional
 oracle verification sweep, and the pairing-count tables.
 
 Every CSV starts with a comment line recording the SHA-256 of the canonical
-config and the seed, followed by a header row; floats carry 17 significant
+config, the seed and the package version, followed by a header row; floats carry 17 significant
 digits so reruns are byte-identical.
 """
 
@@ -34,7 +34,13 @@ from .combinatorics import (
 from .kernel import WightmanKernel, accelerated, inertial
 from .response import DetectorParams, ResponseModel, q_closed_accelerated, q_closed_inertial, q_direct
 from .schedule import default_schedule
-from .strings import BitString, born_string_prob, ratio_bounds, rm_string_prob
+from .strings import (
+    MAX_TABLE_LENGTH,
+    BitString,
+    born_string_prob,
+    ratio_bounds,
+    rm_string_table,
+)
 
 
 def _fmt(x) -> str:
@@ -49,7 +55,7 @@ def _config_hash(config: dict) -> str:
 
 
 def _emit(rows, header, args, config) -> None:
-    meta = f"config_sha256={_config_hash(config)} seed={args.seed}"
+    meta = f"config_sha256={_config_hash(config)} seed={args.seed} version={__version__}"
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         if args.format == "csv":
@@ -135,8 +141,24 @@ def _cmd_transition(args, config):
 
 
 def _cmd_string_probs(args, config):
+    repetitions = _config_value(
+        config.get("schedule", {}),
+        "schedule",
+        "repetitions",
+        8,
+        lambda v: _is_int(v) and v >= 1,
+        "an integer >= 1",
+    )
+    cap = min(repetitions, MAX_TABLE_LENGTH)
+    length = _config_value(
+        config.get("strings", {}),
+        "strings",
+        "length",
+        4,
+        lambda v: _is_int(v) and 1 <= v <= cap,
+        f"an integer in [1, {cap}]",
+    )
     model, kern = _build_model(config)
-    length = config.get("strings", {}).get("length", 4)
     q = model.q
     gp = GammaProfile.from_kernel(kern, model.schedule)
     horizon = n_limit(q, gp.gamma)
@@ -145,9 +167,8 @@ def _cmd_string_probs(args, config):
     delta_dev = 1.0 - ub.lower / q
     ratio = q / (1.0 - q)
     rows = []
-    for v in range(1 << length):
+    for v, sp in enumerate(rm_string_table(length, model)):
         b = BitString.from_int(v, length)
-        sp = rm_string_prob(b, model)
         lo, hi = ratio_bounds(b, eps_dev, delta_dev, ratio)
         rows.append(
             [

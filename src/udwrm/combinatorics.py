@@ -279,6 +279,23 @@ def cycle_cover_sums(k: int, link) -> np.ndarray:
     return np.array(covers)
 
 
+def subset_sums(values) -> np.ndarray:
+    """Zeta transform over bit masks: out[A] = sum of values[S] over S ⊆ A.
+
+    ``values`` has length 2^k; one pass per bit, O(2^k k) additions.
+    """
+    out = np.array(values, dtype=float)
+    size = len(out)
+    if not size or size & (size - 1):
+        raise ValueError(f"need 2^k values, got {size}")
+    bit = 1
+    while bit < size:
+        halves = out.reshape(-1, 2, bit)
+        halves[:, 1, :] += halves[:, 0, :]
+        bit <<= 1
+    return out
+
+
 def unrestricted_partition_count(k: int) -> int:
     """pi(k), via Euler's pentagonal-number recurrence."""
     if k < 0:

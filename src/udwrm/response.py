@@ -446,37 +446,75 @@ class ResponseModel:
         """Correction fraction over a set of windows: sum of all pairing
         integrals divided by the matching power of the single-window response.
 
-        The Chebyshev resolution p doubles through CHEB_RESOLUTIONS until two
-        successive sums agree to the roundoff floor; the error is their
-        difference plus that floor.
+        A cache read by gap signature; a miss runs ``_subset_fractions`` on
+        the window set, which caches every subset of it as well.
         """
         labels = tuple(sorted(intervals))
-        k = len(labels)
-        if k < 2:
+        if len(labels) < 2:
             raise ValueError("need at least two intervals")
         gaps = tuple(lab - labels[0] for lab in labels)
-        if gaps in self._f_cache:
-            return self._f_cache[gaps]
+        if gaps not in self._f_cache:
+            self._subset_fractions(gaps)
+        return self._f_cache[gaps]
+
+    def _subset_fractions(self, windows) -> tuple[np.ndarray, np.ndarray]:
+        """Correction fractions of every subset of a window set, from one
+        ``cycle_cover_sums`` pass per Chebyshev resolution.
+
+        ``windows`` is strictly increasing; bit a of a mask stands for
+        windows[a].  Returns (fraction, error) arrays indexed by mask, zero
+        on masks of fewer than two windows.  A subset whose gap signature is
+        cached is read from the cache.  The others share one p-doubling
+        loop: each is accepted, and cached, at the first resolution where
+        its sum agrees with the previous one to its roundoff floor, the
+        error being their difference plus that floor (as for q).
+        """
+        k = len(windows)
+        size = 1 << k
+        values = np.zeros(size)
+        errors = np.zeros(size)
+        # uncached gap signature -> the masks that share it
+        pending: dict[tuple[int, ...], list[int]] = {}
+        for mask in range(size):
+            members = [w for a, w in enumerate(windows) if mask >> a & 1]
+            if len(members) < 2:
+                continue
+            gaps = tuple(w - members[0] for w in members)
+            if gaps in self._f_cache:
+                values[mask], errors[mask] = self._f_cache[gaps]
+            else:
+                pending.setdefault(gaps, []).append(mask)
+        if not pending:
+            return values, errors
 
         eps = float(np.finfo(float).eps)
         total = None
         for p in CHEB_RESOLUTIONS:
 
             def link(a: int, side: int, b: int) -> np.ndarray:
-                return self._link(p, side, gaps[a] - gaps[b])
+                return self._link(p, side, windows[a] - windows[b])
 
-            prev, total = total, cycle_cover_sums(k, link)[-1]
+            prev, total = total, cycle_cover_sums(k, link)
+            if prev is None:
+                continue
             # the same sums over entrywise |link| bound sum |class value|
-            magnitude = cycle_cover_sums(k, lambda a, side, b: np.abs(link(a, side, b)))[-1]
+            magnitude = cycle_cover_sums(k, lambda a, side, b: np.abs(link(a, side, b)))
+            change = np.abs(total - prev)
             floor = ROUNDOFF_UNITS * eps * magnitude
-            if prev is not None and abs(total - prev) <= floor:
-                norm = self._calq**k
-                result = (total / norm, (abs(total - prev) + floor) / norm)
-                self._f_cache[gaps] = result
-                return result
+            for gaps, masks in list(pending.items()):
+                first = masks[0]
+                if change[first] <= floor[first]:
+                    norm = self._calq ** len(gaps)
+                    result = (total[first] / norm, (change[first] + floor[first]) / norm)
+                    self._f_cache[gaps] = result
+                    values[masks], errors[masks] = result
+                    del pending[gaps]
+            if not pending:
+                return values, errors
+        gaps, (first, *_) = next(iter(pending.items()))
         raise QuadratureError(
             f"correction integrals over gaps {gaps} did not converge by "
-            f"p = {p}: last change {abs(total - prev):g} against floor {floor:g}"
+            f"p = {p}: last change {change[first]:g} against floor {floor[first]:g}"
         )
 
     def _link(self, p: int, side: int, gap: int) -> np.ndarray:
@@ -496,10 +534,10 @@ class ResponseModel:
     def correction_sums(self, h: HistoryRecord) -> tuple[float, float, float]:
         """(numerator sum, denominator sum, combined abs error) for P_n/q.
 
+        One subset pass over the history's windows: the numerator sums the
+        fractions of every subset, the denominator those without the query.
         The single entry point for histories, so they are validated here.
         """
-        from itertools import combinations
-
         n = h.order
         if h.query >= self.schedule.repetitions:
             raise ValueError(
@@ -510,17 +548,9 @@ class ResponseModel:
             raise ValueError(
                 f"history of {n} windows exceeds CONTRACTION_ENUM_MAX = {CONTRACTION_ENUM_MAX}"
             )
-        all_intervals = h.excitations + (h.query,)
-        num = den = 0.0
-        err = 0.0
-        for k in range(2, n + 1):
-            for subset in combinations(all_intervals, k):
-                val, e = self.f_fraction(subset)
-                num += val
-                err += e
-                if h.query not in subset:
-                    den += val
-        return num, den, err
+        values, errors = self._subset_fractions(h.excitations + (h.query,))
+        # the query is the last window: the masks without it are those below its bit
+        return float(values.sum()), float(values[: 1 << (n - 1)].sum()), float(errors.sum())
 
     def conditional_excitation(self, h: HistoryRecord) -> ProbabilityResult:
         """P_n = q (1 + numerator corrections) / (1 + history corrections)."""
@@ -536,10 +566,14 @@ class ResponseModel:
 
     def correction_ratio(self, h: HistoryRecord) -> tuple[float, float]:
         """P_n / q - 1, formed from the correction sums directly."""
-        num, den, err = self.correction_sums(h)
-        if 1.0 + den <= 0.0:
-            raise BoundViolationError(
-                f"history correction sum {den} drove the denominator to zero"
-            )
-        return (num - den) / (1.0 + den), 2.0 * err
+        return ratio_from_sums(*self.correction_sums(h))
+
+
+def ratio_from_sums(num: float, den: float, err: float) -> tuple[float, float]:
+    """(P_n / q - 1, abs error) from a history's correction sums."""
+    if 1.0 + den <= 0.0:
+        raise BoundViolationError(
+            f"history correction sum {den} drove the denominator to zero"
+        )
+    return (num - den) / (1.0 + den), 2.0 * err
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .combinatorics import subset_sums
 from .kernel import Worldline
-from .response import HistoryRecord, ResponseModel
+from .response import HistoryRecord, ResponseModel, ratio_from_sums
 
 
 @dataclass(frozen=True)
@@ -86,23 +87,27 @@ class StringProbability:
     abs_error: float
 
 
-def rm_string_prob(b: BitString, model: ResponseModel) -> StringProbability:
+#: Longest string table: 2^L strings from one subset pass over L windows.
+MAX_TABLE_LENGTH = 10
+
+
+def _chain_law(b: BitString, q: float, correction) -> StringProbability:
     """Chain-law string probability, each factor conditioned on the ones
     recorded before it.
 
     Windows are numbered 0..L-1; bit j (1-based) is the outcome of window
-    j-1.  The result also carries log(P_rm / P_born) assembled from the
-    per-factor correction ratios, which stays accurate when the correction
-    is far below the probability's double-precision resolution.
+    j-1.  ``correction(ones, j)`` gives (P(1|ones)/q - 1, abs error) for a
+    non-empty tuple of earlier excited windows.  The result also carries
+    log(P_rm / P_born) assembled from these per-factor ratios, which stays
+    accurate when the correction is far below the probability's
+    double-precision resolution.
     """
-    q = model.q
     log_ratio = 0.0
     err = 0.0
     prior_ones: list[int] = []
     for j, bit in enumerate(b.bits):
         if prior_ones:
-            h = HistoryRecord(excitations=tuple(prior_ones), query=j)
-            ratio, ratio_err = model.correction_ratio(h)
+            ratio, ratio_err = correction(tuple(prior_ones), j)
         else:
             ratio, ratio_err = 0.0, 0.0
         if bit == 1:
@@ -118,6 +123,45 @@ def rm_string_prob(b: BitString, model: ResponseModel) -> StringProbability:
     return StringProbability(
         value=value, log_ratio_correction=log_ratio, abs_error=value * err
     )
+
+
+def rm_string_prob(b: BitString, model: ResponseModel) -> StringProbability:
+    """Chain-law probability of one string, each factor from the model's
+    correction sums over its history."""
+    return _chain_law(
+        b,
+        model.q,
+        lambda ones, j: model.correction_ratio(HistoryRecord(excitations=ones, query=j)),
+    )
+
+
+def rm_string_table(length: int, model: ResponseModel) -> list[StringProbability]:
+    """Chain-law probabilities of all 2^length strings, indexed by
+    ``BitString.to_int``.
+
+    One subset pass over windows 0..length-1 gives the correction fraction
+    of every window subset; their zeta transform (and that of their errors)
+    gives every history's correction sums, so each chain factor is a
+    lookup.  Histories are not capped by CONTRACTION_ENUM_MAX.
+    """
+    cap = min(model.schedule.repetitions, MAX_TABLE_LENGTH)
+    if not 1 <= length <= cap:
+        raise ValueError(
+            f"table length must lie in [1, {cap}] (min of the "
+            f"{model.schedule.repetitions} repetitions and {MAX_TABLE_LENGTH}), got {length}"
+        )
+    values, errors = model._subset_fractions(tuple(range(length)))
+    sums, sum_errors = subset_sums(values).tolist(), subset_sums(errors).tolist()
+
+    def correction(ones: tuple[int, ...], j: int) -> tuple[float, float]:
+        history = sum(1 << i for i in ones)
+        full = history | 1 << j
+        return ratio_from_sums(sums[full], sums[history], sum_errors[full])
+
+    return [
+        _chain_law(BitString.from_int(v, length), model.q, correction)
+        for v in range(1 << length)
+    ]
 
 
 def ratio_bounds(

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -52,7 +53,10 @@ def test_bounds_csv_shape_and_horizon(tmp_path, capsys):
     code, out, _ = run(capsys, "bounds", "--config", cfg)
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0].startswith("# config_sha256=")
+    assert re.fullmatch(
+        rf"# config_sha256=[0-9a-f]{{64}} seed=0 version={re.escape(udwrm.__version__)}",
+        lines[0],
+    ), lines[0]
     assert lines[1] == "n,lower,upper,q"
     exceed = [
         int(row.split(",")[0])
@@ -187,6 +191,49 @@ def test_bad_config_value_exits_2_naming_the_key(
         assert code == 2, value
         assert f"{section}.{key}" in err
         assert out == ""
+
+
+class TableReached(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "schedule, length, key",
+    [
+        ({}, "5", "strings.length"),
+        ({}, 0, "strings.length"),
+        ({}, True, "strings.length"),
+        ({}, 2.0, "strings.length"),
+        ({}, None, "strings.length"),
+        ({}, 9, "strings.length"),
+        ({"repetitions": 10}, 11, "strings.length"),
+        ({"repetitions": 4}, 5, "strings.length"),
+        ({"repetitions": "8"}, 4, "schedule.repetitions"),
+        ({}, 7, None),
+        ({"repetitions": 10}, 10, None),
+    ],
+)
+def test_string_probs_length_is_checked_before_any_model(
+    tmp_path, capsys, monkeypatch, schedule, length, key
+):
+    def no_work(*_, **__):
+        raise AssertionError("work started before the config was validated")
+
+    def reached(*_):
+        raise TableReached
+
+    monkeypatch.setattr("udwrm.cli.rm_string_table", reached)
+    if key is not None:
+        monkeypatch.setattr("udwrm.cli.ResponseModel", no_work)
+    cfg = write_config(tmp_path, {"schedule": schedule, "strings": {"length": length}})
+    if key is None:
+        with pytest.raises(TableReached):
+            main(["string-probs", "--config", cfg])
+        return
+    code, out, err = run(capsys, "string-probs", "--config", cfg)
+    assert code == 2
+    assert f"bad config: {key} must be" in err, err
+    assert out == ""
 
 
 BAYES_BLOCK = {"bits": [0, 1, 0], "chunk": 1, "epsilon": 1e-3}

@@ -15,6 +15,7 @@ from udwrm.combinatorics import (
     enumerate_contraction_classes,
     partition_term_count,
     restricted_partitions,
+    subset_sums,
     unrestricted_partition_count,
     wick_term_count,
 )
@@ -94,6 +95,17 @@ def test_cycle_cover_sums_count_pairings_of_every_subset(k):
     assert covers[-1] == crossing_count(k)
     for subset, count in enumerate(covers):
         assert count == crossing_count(bin(subset).count("1")), subset
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 6])
+def test_subset_sums_is_the_zeta_transform(k):
+    values = np.random.default_rng(k).normal(size=1 << k)
+    direct = [
+        math.fsum(values[s] for s in range(1 << k) if s & a == s) for a in range(1 << k)
+    ]
+    np.testing.assert_allclose(subset_sums(values), direct, rtol=1e-12, atol=1e-12)
+    with pytest.raises(ValueError):
+        subset_sums(np.zeros(3))
 
 
 def test_enumerate_classes_edges_cover_all_intervals():

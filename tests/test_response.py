@@ -444,3 +444,43 @@ def test_import_skips_unused_module(module):
 def test_strong_coupling_warns(inertial_kernel, schedule):
     with pytest.warns(UserWarning):
         DetectorParams(omega=0.2, lam=0.5)
+
+
+def correction_sums_reference(model, h):
+    """The former ``correction_sums``: a loop over every subset of the
+    history's windows, each fraction from ``f_fraction``."""
+    from itertools import combinations
+
+    n = h.order
+    all_intervals = h.excitations + (h.query,)
+    num = den = 0.0
+    err = 0.0
+    for k in range(2, n + 1):
+        for subset in combinations(all_intervals, k):
+            val, e = model.f_fraction(subset)
+            num += val
+            err += e
+            if h.query not in subset:
+                den += val
+    return num, den, err
+
+
+@pytest.mark.parametrize("kind", ["inertial", "accelerated"])
+def test_correction_sums_match_the_subset_loop(kind, schedule, detector):
+    # every history of up to three excitations in the 8-window schedule, on
+    # two fresh models so that neither reads fractions the other computed
+    kern = WightmanKernel(inertial() if kind == "inertial" else accelerated(0.1))
+    reference = ResponseModel(kern, schedule, detector)
+    model = ResponseModel(kern, schedule, detector)
+    checked = 0
+    for query in range(schedule.repetitions):
+        for size in range(4):
+            for exc in itertools.combinations(range(query), size):
+                h = HistoryRecord(excitations=exc, query=query)
+                num, den, err = model.correction_sums(h)
+                ref_num, ref_den, ref_err = correction_sums_reference(reference, h)
+                assert abs(num - ref_num) <= err, (h, num, ref_num, err)
+                assert abs(den - ref_den) <= err, (h, den, ref_den, err)
+                assert (err > 0.0) == (ref_err > 0.0) == bool(exc), h
+                checked += 1
+    assert checked == 162
