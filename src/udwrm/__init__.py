@@ -48,7 +48,6 @@ from .kernel import WightmanKernel, Worldline, accelerated, inertial, unruh_temp
 from .oracle import (
     FiniteRmModel,
     ModelError,
-    WeakStructure,
     exact_step_probability,
     exact_string_prob,
     iid_model,
@@ -115,7 +114,6 @@ __all__ = [
     "RestrictedPartition",
     "StringProbability",
     "SwitchingProfile",
-    "WeakStructure",
     "WightmanKernel",
     "Worldline",
     "accelerated",

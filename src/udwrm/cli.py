@@ -104,28 +104,72 @@ def _config_value(block: dict, section: str, key: str, default, ok, expected: st
     return value
 
 
-def _build_model(config: dict) -> tuple[ResponseModel, WightmanKernel]:
-    det = config.get("detector", {})
-    d = DetectorParams(omega=det.get("omega", 0.2), lam=det.get("lambda", 1e-2))
-    wl = config.get("worldline", {"kind": "inertial"})
-    if wl.get("kind", "inertial") == "accelerated":
-        kern = WightmanKernel(accelerated(wl["alpha"]))
-    else:
-        kern = WightmanKernel(inertial())
-    sch = config.get("schedule", {})
-    sched = default_schedule(
-        sigma=sch.get("sigma", 1.0),
-        repetitions=sch.get("repetitions", 8),
-        t_off_factor=sch.get("t_off_factor", 10.0),
+# the keys of the blocks that describe the detector model
+_MODEL_KEYS = {
+    "detector": ("omega", "lambda"),
+    "worldline": ("kind", "alpha"),
+    "schedule": ("sigma", "repetitions", "t_off_factor"),
+}
+_WORLDLINE_KINDS = ("inertial", "accelerated")
+
+
+def _is_positive(v) -> bool:
+    return _is_real(v) and v > 0
+
+
+def _model_config(config: dict, alpha_default: float | None = None):
+    """The detector, worldline and schedule blocks, checked before any work.
+
+    Returns (DetectorParams, worldline kind, alpha, ``default_schedule``
+    keyword arguments).  An accelerated worldline needs ``alpha`` unless a
+    default is given; an unknown key in any of the three blocks is an error.
+    """
+    blocks = []
+    for section, keys in _MODEL_KEYS.items():
+        block = config.get(section, {})
+        if not isinstance(block, dict):
+            raise ConfigError(f"{section} must be an object, got {block!r}")
+        for key in block:
+            if key not in keys:
+                raise ConfigError(f"{section}.{key} is not a known key ({', '.join(keys)})")
+        blocks.append(block)
+    det, wl, sch = blocks
+    positive = "a finite number > 0"
+    d = DetectorParams(
+        omega=_config_value(det, "detector", "omega", 0.2, _is_positive, positive),
+        lam=_config_value(det, "detector", "lambda", 1e-2, _is_positive, positive),
     )
-    return ResponseModel(kern, sched, d), kern
+    kind = _config_value(
+        wl,
+        "worldline",
+        "kind",
+        "inertial",
+        lambda v: v in _WORLDLINE_KINDS,
+        " or ".join(_WORLDLINE_KINDS),
+    )
+    alpha = _config_value(
+        wl,
+        "worldline",
+        "alpha",
+        alpha_default,
+        lambda v: _is_positive(v) or (v is None and kind == "inertial"),
+        positive,
+    )
+    schedule = {
+        "sigma": _config_value(sch, "schedule", "sigma", 1.0, _is_positive, positive),
+        "repetitions": _config_value(
+            sch, "schedule", "repetitions", 8, lambda v: _is_int(v) and v >= 1, "an integer >= 1"
+        ),
+        "t_off_factor": _config_value(
+            sch, "schedule", "t_off_factor", 10.0, _is_positive, positive
+        ),
+    }
+    return d, kind, alpha, schedule
 
 
 def _cmd_transition(args, config):
-    det = config.get("detector", {})
-    d = DetectorParams(omega=det.get("omega", 0.2), lam=det.get("lambda", 1e-2))
-    sigma = config.get("schedule", {}).get("sigma", 1.0)
-    alpha = config.get("worldline", {}).get("alpha", 0.1)
+    d, _, alpha, schedule = _model_config(config, alpha_default=0.1)
+    sigma = schedule["sigma"]
     sched = default_schedule(sigma=sigma)
     rows = []
     qi = q_closed_inertial(d, sigma)
@@ -141,15 +185,8 @@ def _cmd_transition(args, config):
 
 
 def _cmd_string_probs(args, config):
-    repetitions = _config_value(
-        config.get("schedule", {}),
-        "schedule",
-        "repetitions",
-        8,
-        lambda v: _is_int(v) and v >= 1,
-        "an integer >= 1",
-    )
-    cap = min(repetitions, MAX_TABLE_LENGTH)
+    d, kind, alpha, schedule = _model_config(config)
+    cap = min(schedule["repetitions"], MAX_TABLE_LENGTH)
     length = _config_value(
         config.get("strings", {}),
         "strings",
@@ -158,7 +195,8 @@ def _cmd_string_probs(args, config):
         lambda v: _is_int(v) and 1 <= v <= cap,
         f"an integer in [1, {cap}]",
     )
-    model, kern = _build_model(config)
+    kern = WightmanKernel(accelerated(alpha) if kind == "accelerated" else inertial())
+    model = ResponseModel(kern, default_schedule(**schedule), d)
     q = model.q
     gp = GammaProfile.from_kernel(kern, model.schedule)
     horizon = n_limit(q, gp.gamma)

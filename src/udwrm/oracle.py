@@ -1,18 +1,22 @@
 """Exact state-vector oracle for the repeated-measurement protocol on a
 finite detector+environment system.
 
-A two-level detector is coupled to a d-dimensional environment through
-per-step hermitian generators; each step applies a dense unitary, projects
-the detector on the recorded outcome, and resets it to the ground state.
-This gives brute-force ground truth for the perturbative outcome formulas
-and for the Bayesian machinery, at dimensions where everything is cheap.
+A two-level detector is coupled to a d-dimensional environment.  Step k
+applies U_k(eps) = exp(-i eps G_k)(U (x) I), with G_k a hermitian generator
+on the product space and U a detector-only unitary (the identity unless
+given), then projects the detector on the recorded outcome and resets it to
+the ground state.  Every constructor builds this one model type, so the
+measurement tree, the eps-expansion of a step and the propagator check all
+read the same step unitaries.  This gives brute-force ground truth for the
+perturbative outcome formulas and for the Bayesian machinery, at dimensions
+where everything is cheap.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,87 +89,64 @@ def operator_schmidt(op: np.ndarray, d_left: int, d_right: int):
 
 
 @dataclass(frozen=True)
-class WeakStructure:
-    """Expansion of a step unitary around a detector-only unitary:
-    U_k(eps) = U (x) I + eps sum_l A_l (x) B_l(k) + eps^2 sum_l C_l (x) D_l(k).
-
-    Built from per-step generators G_k via U_k = exp(-i eps G_k)(U (x) I),
-    which is exactly unitary at every eps.
-    """
-
-    u_detector: np.ndarray
-    generators: tuple[np.ndarray, ...]
-    coupling_epsilon: float
-
-    def __post_init__(self) -> None:
-        _check_unitary(self.u_detector, "detector unitary")
-        for k, g in enumerate(self.generators):
-            _check_hermitian(g, f"weak generator {k}")
-        if self.coupling_epsilon < 0:
-            raise ModelError("coupling_epsilon must be >= 0")
-
-    @property
-    def steps(self) -> int:
-        return len(self.generators)
-
-    def step_unitary(self, k: int, epsilon: float | None = None) -> np.ndarray:
-        eps = self.coupling_epsilon if epsilon is None else epsilon
-        g = self.generators[k]
-        d_env = g.shape[0] // 2
-        base = np.kron(self.u_detector, np.eye(d_env))
-        return expm_hermitian(g, eps) @ base
-
-    def expansion_terms(self, k: int):
-        """(A_l, B_l) and (C_l, D_l) term lists for step k."""
-        g = self.generators[k]
-        d_env = g.shape[0] // 2
-        base = np.kron(self.u_detector, np.eye(d_env))
-        first = operator_schmidt(-1j * g @ base, 2, d_env)
-        second = operator_schmidt((-1j * g) @ (-1j * g) @ base / 2.0, 2, d_env)
-        return first, second
-
-
-@dataclass(frozen=True)
 class FiniteRmModel:
     """Detector (x) environment model executed step by step.
 
-    ``generators[k]`` is the hermitian interaction generator of step k on
-    the 2d-dimensional product space; the step propagator is
-    exp(-i lam w_k H_k).  If a weak structure is attached, it must
-    reproduce the same step unitaries.
+    ``generators[k]`` is the hermitian interaction generator G_k of step k on
+    the 2d-dimensional product space, d = len(env_initial).  The step
+    propagator U_k(eps) = exp(-i eps G_k)(U (x) I), with U = ``u_detector``
+    (the identity unless given), is exactly unitary at every eps and expands as
+    U (x) I + eps sum_l A_l (x) B_l(k) + eps^2 sum_l C_l (x) D_l(k) + O(eps^3).
     """
 
-    omega: float
-    env_dim: int
     generators: tuple[np.ndarray, ...]
-    lam: float
-    weights: tuple[float, ...]
+    epsilon: float
     env_initial: np.ndarray
-    weak: WeakStructure | None = None
+    u_detector: np.ndarray = field(default_factory=lambda: np.eye(2))
 
     def __post_init__(self) -> None:
         if not 1 <= self.env_dim <= MAX_ENV_DIM:
             raise ModelError(f"environment dimension must be in [1, {MAX_ENV_DIM}]")
-        if len(self.weights) != len(self.generators):
-            raise ModelError("need one window weight per step generator")
+        if not self.epsilon >= 0:
+            raise ModelError("epsilon must be >= 0")
         for k, g in enumerate(self.generators):
             if g.shape != (2 * self.env_dim, 2 * self.env_dim):
                 raise ModelError(f"generator {k} has wrong dimension")
             _check_hermitian(g, f"generator {k}")
+        if self.u_detector.shape != (2, 2):
+            raise ModelError("detector unitary is not 2 x 2")
+        _check_unitary(self.u_detector, "detector unitary")
         if abs(np.linalg.norm(self.env_initial) - 1.0) > 1e-12:
             raise ModelError("initial environment state must be normalized")
+
+    @property
+    def env_dim(self) -> int:
+        return len(self.env_initial)
 
     @property
     def steps(self) -> int:
         return len(self.generators)
 
-    def step_unitary(self, k: int) -> np.ndarray:
-        if self.weak is not None:
-            u = self.weak.step_unitary(k)
-        else:
-            u = expm_hermitian(self.generators[k], self.lam * self.weights[k])
+    @functools.cached_property
+    def _uncoupled_step(self) -> np.ndarray:
+        """U (x) I, every step unitary at eps = 0."""
+        return np.kron(self.u_detector, np.eye(self.env_dim))
+
+    def step_unitary(self, k: int, epsilon: float | None = None) -> np.ndarray:
+        """U_k at the model's coupling, or at ``epsilon`` if given."""
+        eps = self.epsilon if epsilon is None else epsilon
+        u = expm_hermitian(self.generators[k], eps) @ self._uncoupled_step
         _check_unitary(u, f"step {k} propagator")
         return u
+
+    def expansion_terms(self, k: int):
+        """(A_l, B_l) and (C_l, D_l) term lists for step k: the operator
+        Schmidt forms of -i G_k (U (x) I) and (-i G_k)^2 (U (x) I) / 2."""
+        g = -1j * self.generators[k]
+        base = self._uncoupled_step
+        first = operator_schmidt(g @ base, 2, self.env_dim)
+        second = operator_schmidt(g @ g @ base / 2.0, 2, self.env_dim)
+        return first, second
 
     @functools.cached_property
     def _step_columns(self) -> tuple[np.ndarray, ...]:
@@ -286,13 +267,10 @@ def perturbative_corrections(m: FiniteRmModel, k: int, env: np.ndarray):
     Returns (p, q1, q2) as length-2 arrays over outcomes; the exact step
     probability is p + eps q1 + eps^2 q2 + O(eps^3).
     """
-    if m.weak is None:
-        raise ModelError("model carries no weak-structure decomposition")
-    w = m.weak
-    d = m.env_dim
+    u = m.u_detector
     ket0 = np.array([1.0, 0.0], dtype=complex)
-    u0 = w.u_detector @ ket0
-    (a_ops, b_ops), (c_ops, d_ops) = w.expansion_terms(k)
+    u0 = u @ ket0
+    (a_ops, b_ops), (c_ops, d_ops) = m.expansion_terms(k)
 
     p = np.abs(u0) ** 2
     q1 = np.zeros(2)
@@ -302,7 +280,7 @@ def perturbative_corrections(m: FiniteRmModel, k: int, env: np.ndarray):
         proj[outcome, outcome] = 1.0
         first = 0.0 + 0.0j
         for a, b_env in zip(a_ops, b_ops):
-            det = ket0.conj() @ (a.conj().T @ proj @ w.u_detector) @ ket0
+            det = ket0.conj() @ (a.conj().T @ proj @ u) @ ket0
             envv = env.conj() @ (b_env.conj().T @ env)
             first += det * envv
         q1[outcome] = float(2.0 * first.real)
@@ -315,7 +293,7 @@ def perturbative_corrections(m: FiniteRmModel, k: int, env: np.ndarray):
                 second += det * envv
         cross = 0.0 + 0.0j
         for c, d_env in zip(c_ops, d_ops):
-            det = ket0.conj() @ (c.conj().T @ proj @ w.u_detector) @ ket0
+            det = ket0.conj() @ (c.conj().T @ proj @ u) @ ket0
             envv = env.conj() @ (d_env.conj().T @ env)
             cross += det * envv
         q2[outcome] = float(second.real + 2.0 * cross.real)
@@ -326,10 +304,8 @@ def exact_step_probability(
     m: FiniteRmModel, k: int, env: np.ndarray, epsilon: float | None = None
 ) -> np.ndarray:
     """Outcome probabilities of step k from the full unitary, optionally at
-    a rescaled weak coupling."""
-    if m.weak is None:
-        raise ModelError("model carries no weak-structure decomposition")
-    u = m.weak.step_unitary(k, epsilon)
+    a rescaled coupling."""
+    u = m.step_unitary(k, epsilon)
     psi = u @ np.kron(np.array([1.0, 0.0]), env)
     blocks = psi.reshape(2, m.env_dim)
     return np.array([float(np.sum(np.abs(blocks[b]) ** 2)) for b in (0, 1)])
@@ -374,10 +350,8 @@ def remainder_check(
     must also stay within the Taylor remainder of <e^(i eps G) P e^(-i eps G)>,
     (2 eps ||G||)^3 / 6, plus PROBABILITY_ROUNDOFF.
     """
-    if m.weak is None:
-        raise ModelError("model carries no weak-structure decomposition")
     p, q1, q2 = perturbative_corrections(m, k, env) if corrections is None else corrections
-    g_norm = float(np.linalg.norm(m.weak.generators[k], 2))
+    g_norm = float(np.linalg.norm(m.generators[k], 2))
     eps = [epsilon / 2**j for j in range(REMAINDER_LEVELS)]
     res = [
         float(exact_step_probability(m, k, env, e)[1] - (p + e * q1 + e * e * q2)[1])
@@ -398,15 +372,16 @@ def remainder_check(
 
 
 def propagator_consistency(m: FiniteRmModel, k: int, rtol: float = 1e-12) -> float:
-    """Max deviation between the step propagator exp(-i h) and an explicit
-    Runge-Kutta integration of i psi' = h psi over all basis columns at once.
+    """Max deviation between the model's step unitary U_k and an explicit
+    Runge-Kutta integration of i psi' = eps G_k psi over unit time, for all
+    basis columns at once, times U (x) I.
 
     For this linear equation a classical fourth-order step is the degree-4
-    Taylor polynomial of exp(-i dt h), so a run is that polynomial's power
-    and uses no eigendecomposition.  The step halves from
+    Taylor polynomial of exp(-i dt eps G_k), so a run is that polynomial's
+    power and uses no eigendecomposition.  The step halves from
     1 / RK_STEPS until two runs agree entrywise to ``rtol``.
     """
-    h = m.lam * m.weights[k] * m.generators[k]
+    h = m.epsilon * m.generators[k]
     eye = np.eye(h.shape[0])
     steps, prev = RK_STEPS, None
     while steps <= RK_MAX_STEPS:
@@ -414,7 +389,8 @@ def propagator_consistency(m: FiniteRmModel, k: int, rtol: float = 1e-12) -> flo
         step = eye + z @ (eye + z @ (eye + z @ (eye + z / 4.0) / 3.0) / 2.0)
         integrated = np.linalg.matrix_power(step, steps)
         if prev is not None and np.max(np.abs(integrated - prev)) <= rtol:
-            return float(np.max(np.abs(expm_hermitian(h) - integrated)))
+            expected = integrated @ m._uncoupled_step
+            return float(np.max(np.abs(m.step_unitary(k) - expected)))
         steps, prev = 2 * steps, integrated
     raise ModelError(f"step {k} propagator integration did not converge by {RK_MAX_STEPS} steps")
 
@@ -435,63 +411,28 @@ def _random_env_state(rng: np.random.Generator, d: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_model(
-    env_dim: int, steps: int, seed: int, omega: float = 0.2, lam: float = 0.05
-) -> FiniteRmModel:
-    """Generic coupled instance: independent hermitian generator per step."""
+def random_model(env_dim: int, steps: int, seed: int) -> FiniteRmModel:
+    """Generic coupled instance: an independent hermitian generator per step
+    at eps = 0.05, with no detector-only unitary."""
     rng = np.random.default_rng(seed)
     gens = tuple(_random_hermitian(rng, 2 * env_dim) for _ in range(steps))
-    return FiniteRmModel(
-        omega=omega,
-        env_dim=env_dim,
-        generators=gens,
-        lam=lam,
-        weights=(1.0,) * steps,
-        env_initial=_random_env_state(rng, env_dim),
-    )
+    return FiniteRmModel(gens, 0.05, _random_env_state(rng, env_dim))
 
 
-def random_weak_model(
-    env_dim: int, steps: int, epsilon: float, seed: int, omega: float = 0.2
-) -> FiniteRmModel:
-    """Weakly coupled instance built as exp(-i eps G_k)(U (x) I)."""
+def random_weak_model(env_dim: int, steps: int, epsilon: float, seed: int) -> FiniteRmModel:
+    """Weakly coupled instance: a random detector unitary U and an
+    independent hermitian generator per step at the given eps."""
     rng = np.random.default_rng(seed)
     u = _random_unitary(rng, 2)
     gens = tuple(_random_hermitian(rng, 2 * env_dim) for _ in range(steps))
-    weak = WeakStructure(u_detector=u, generators=gens, coupling_epsilon=epsilon)
-    # effective hermitian generators of the exact step unitaries, for the
-    # generic code paths (logm is overkill; step_unitary short-circuits)
-    placeholder = tuple(np.zeros((2 * env_dim, 2 * env_dim)) for _ in range(steps))
-    return FiniteRmModel(
-        omega=omega,
-        env_dim=env_dim,
-        generators=placeholder,
-        lam=0.0,
-        weights=(1.0,) * steps,
-        env_initial=_random_env_state(rng, env_dim),
-        weak=weak,
-    )
+    return FiniteRmModel(gens, epsilon, _random_env_state(rng, env_dim), u)
 
 
-def iid_model(env_dim: int, steps: int, seed: int, omega: float = 0.2) -> FiniteRmModel:
-    """Detector-only dynamics: every step applies the same product unitary,
-    so outcomes are independent and identically distributed."""
+def iid_model(env_dim: int, steps: int, seed: int) -> FiniteRmModel:
+    """Detector-only dynamics: every G_k is zero, so every step applies the
+    same product unitary U (x) I and the outcomes are independent and
+    identically distributed."""
     rng = np.random.default_rng(seed)
     u = _random_unitary(rng, 2)
-    weak = WeakStructure(
-        u_detector=u,
-        generators=tuple(
-            np.zeros((2 * env_dim, 2 * env_dim)) for _ in range(steps)
-        ),
-        coupling_epsilon=0.0,
-    )
-    placeholder = tuple(np.zeros((2 * env_dim, 2 * env_dim)) for _ in range(steps))
-    return FiniteRmModel(
-        omega=omega,
-        env_dim=env_dim,
-        generators=placeholder,
-        lam=0.0,
-        weights=(1.0,) * steps,
-        env_initial=_random_env_state(rng, env_dim),
-        weak=weak,
-    )
+    uncoupled = (np.zeros((2 * env_dim, 2 * env_dim)),) * steps
+    return FiniteRmModel(uncoupled, 0.0, _random_env_state(rng, env_dim), u)

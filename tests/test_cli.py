@@ -272,6 +272,93 @@ def test_bad_bayes_config_exits_2_naming_the_key(tmp_path, capsys, monkeypatch, 
         assert out == ""
 
 
+# the model blocks as the benchmark workloads and the CI config send them
+MODEL_BLOCKS = {
+    "detector": {"omega": 0.2, "lambda": 0.01},
+    "worldline": {"kind": "accelerated", "alpha": 0.1},
+    "schedule": {"sigma": 1.0, "repetitions": 8, "t_off_factor": 10.0},
+}
+
+
+class WorkReached(Exception):
+    pass
+
+
+def forbid_model_work(monkeypatch):
+    def no_work(*_, **__):
+        raise WorkReached
+
+    monkeypatch.setattr("udwrm.cli.ResponseModel", no_work)
+    monkeypatch.setattr("udwrm.cli.q_direct", no_work)
+
+
+BAD_MODEL_VALUES = [
+    ("worldline", "kind", "acelerated"),
+    ("worldline", "kind", None),
+    ("worldline", "alpha", 0),
+    ("worldline", "alpha", float("inf")),
+    ("worldline", "alpha", "0.1"),
+    ("detector", "omega", "0.2"),
+    ("detector", "omega", 0.0),
+    ("detector", "lambda", -1e-2),
+    ("detector", "lambda", float("nan")),
+    ("schedule", "sigma", "1"),
+    ("schedule", "sigma", 0),
+    ("schedule", "t_off_factor", -1.0),
+    ("schedule", "t_off_factor", True),
+    ("schedule", "repetitions", 2.0),
+    # misspelled keys
+    ("detector", "omgea", 0.2),
+    ("worldline", "acceleration", 1.0),
+    ("schedule", "sigam", 1.0),
+]
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    BAD_MODEL_VALUES,
+    ids=[f"{s}.{k}={v!r}" for s, k, v in BAD_MODEL_VALUES],
+)
+@pytest.mark.parametrize("command", ["transition", "string-probs"])
+def test_bad_model_config_exits_2_naming_the_key(
+    tmp_path, capsys, monkeypatch, command, section, key, value
+):
+    forbid_model_work(monkeypatch)
+    config = {**MODEL_BLOCKS, section: {**MODEL_BLOCKS[section], key: value}}
+    code, out, err = run(capsys, command, "--config", write_config(tmp_path, config))
+    assert code == 2
+    assert f"bad config: {section}.{key} " in err, err
+    assert out == ""
+
+
+def test_accelerated_worldline_needs_alpha_for_string_probs(tmp_path, capsys, monkeypatch):
+    forbid_model_work(monkeypatch)
+    cfg = write_config(tmp_path, {"worldline": {"kind": "accelerated"}})
+    code, out, err = run(capsys, "string-probs", "--config", cfg)
+    assert code == 2
+    assert "bad config: worldline.alpha must be" in err, err
+    assert out == ""
+    # transition keeps its default acceleration
+    with pytest.raises(WorkReached):
+        main(["transition", "--config", cfg])
+
+
+@pytest.mark.parametrize("command", ["transition", "string-probs"])
+@pytest.mark.parametrize(
+    "config",
+    [
+        MODEL_BLOCKS,
+        {**MODEL_BLOCKS, "worldline": {"kind": "inertial"}, "quadrature": {"gl_order": 32}},
+        {"strings": {"length": 2}},
+    ],
+    ids=["full", "inertial", "defaults"],
+)
+def test_good_model_config_reaches_the_model(tmp_path, monkeypatch, command, config):
+    forbid_model_work(monkeypatch)
+    with pytest.raises(WorkReached):
+        main([command, "--config", write_config(tmp_path, config)])
+
+
 def test_bayes_step_corrections_cover_the_longest_chunk(tmp_path, capsys):
     # a chunk longer than the record needs only one correction per outcome
     cfg = write_config(

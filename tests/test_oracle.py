@@ -19,7 +19,7 @@ from udwrm import (
     remainder_check,
     string_distribution,
 )
-from udwrm.oracle import FiniteRmModel, TrajectoryState, expm_hermitian, step_distribution
+from udwrm.oracle import FiniteRmModel, TrajectoryState, step_distribution
 
 
 def test_step_unitary_is_unitary():
@@ -62,6 +62,18 @@ def test_iid_model_is_exchangeable():
         assert exact_string_prob(m, BitString(bits=perm)) == pytest.approx(
             ref, abs=1e-13
         )
+    # over a long record, from the breadth-first tree: a string's
+    # probability depends on its number of ones only, up to the roundoff of
+    # its 2 L rounded factors (spreads of 1.4e-15 to 3.3e-15 measured at
+    # L = 16, d = 2, 4, 8, seeds 0-5)
+    length = 16
+    probs = string_distribution(iid_model(env_dim=4, steps=length, seed=5), length)
+    by_count = {}
+    for v, p in probs.items():
+        by_count.setdefault(bin(v).count("1"), []).append(p)
+    assert sorted(by_count) == list(range(length + 1))
+    for ones, ps in by_count.items():
+        assert max(ps) - min(ps) <= 2 * length * np.finfo(float).eps * max(ps), ones
 
 
 def test_operator_schmidt_reconstructs():
@@ -98,34 +110,47 @@ def test_propagator_consistency_small():
     assert propagator_consistency(m, 0) < 1e-9
 
 
-def test_propagator_consistency_detects_phase_error(monkeypatch):
-    # a step exponential whose phase is off by 1e-8 must fail the 1e-9 check
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: random_model(env_dim=4, steps=2, seed=9),
+        lambda: random_weak_model(env_dim=4, steps=2, epsilon=1e-3, seed=9),
+    ],
+    ids=["random", "weak"],
+)
+def test_propagator_consistency_detects_phase_error(monkeypatch, make):
+    # a step unitary whose phase is off by 1e-8 must fail the 1e-9 check
+    original = FiniteRmModel.step_unitary
     monkeypatch.setattr(
-        "udwrm.oracle.expm_hermitian", lambda h, t=1.0: expm_hermitian(h, t) * np.exp(-1e-8j)
+        FiniteRmModel, "step_unitary", lambda self, *a: original(self, *a) * np.exp(-1e-8j)
     )
-    m = random_model(env_dim=4, steps=2, seed=9)
-    assert propagator_consistency(m, 0) > 1e-9
+    assert propagator_consistency(make(), 0) > 1e-9
 
 
 @pytest.mark.parametrize("seed", [0, 9, 21])
 def test_step_unitaries_match_scipy_expm(seed):
-    m = random_model(env_dim=8, steps=3, seed=seed)
-    for k in range(3):
-        ref = expm(-1j * m.lam * m.weights[k] * m.generators[k])
-        np.testing.assert_allclose(m.step_unitary(k), ref, rtol=0, atol=1e-13)
-    w = random_weak_model(env_dim=8, steps=3, epsilon=1e-3, seed=seed).weak
-    base = np.kron(w.u_detector, np.eye(8))
-    for k in range(3):
-        ref = expm(-1j * w.coupling_epsilon * w.generators[k]) @ base
-        np.testing.assert_allclose(w.step_unitary(k), ref, rtol=0, atol=1e-13)
+    for m in (
+        random_model(env_dim=8, steps=3, seed=seed),
+        random_weak_model(env_dim=8, steps=3, epsilon=1e-3, seed=seed),
+        iid_model(env_dim=8, steps=3, seed=seed),
+    ):
+        base = np.kron(m.u_detector, np.eye(8))
+        for k in range(3):
+            ref = expm(-1j * m.epsilon * m.generators[k]) @ base
+            np.testing.assert_allclose(m.step_unitary(k), ref, rtol=0, atol=1e-13)
 
 
 def test_model_guards():
     m = random_model(env_dim=4, steps=2, seed=10)
     with pytest.raises(ModelError):
         exact_string_prob(m, BitString(bits=(0, 0, 0)))  # more bits than steps
-    with pytest.raises(ModelError):
-        perturbative_corrections(m, 0, m.env_initial)  # no weak structure
+    # an uncoupled model has no corrections, at any coupling
+    mi = iid_model(env_dim=4, steps=2, seed=10)
+    p, q1, q2 = perturbative_corrections(mi, 0, mi.env_initial)
+    assert np.all(q1 == 0.0) and np.all(q2 == 0.0)
+    for eps in (0.0, 1e-3, 0.5, 3.0):
+        exact = exact_step_probability(mi, 0, mi.env_initial, eps)
+        np.testing.assert_allclose(exact, p, rtol=0, atol=1e-15)
 
 
 def step_chain_probabilities(m, length):
