@@ -37,7 +37,6 @@ from .combinatorics import (
     ContractionClass,
     RestrictedPartition,
     crossing_count,
-    cyclic_term_count,
     double_factorial,
     enumerate_contraction_classes,
     partition_term_count,
@@ -121,7 +120,6 @@ __all__ = [
     "bump",
     "calQ",
     "crossing_count",
-    "cyclic_term_count",
     "default_schedule",
     "delta_p_first_order",
     "double_factorial",

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import CONTRACTION_ENUM_MAX, cycle_cover_sums
+from .combinatorics import MAX_WINDOWS, cycle_cover_sums
 from .kernel import WightmanKernel, extreme_point_value
+from .response import HistoryRecord
 from .schedule import RepetitionSchedule
 
 N_LIMIT_CAP = 10_000
@@ -82,10 +83,6 @@ class GammaProfile:
                 "correlator magnitude does not decrease with window separation"
             )
         return cls(gamma, pair_fn=pair)
-
-    @classmethod
-    def constant(cls, gamma: float) -> "GammaProfile":
-        return cls(gamma)
 
     @property
     def gamma(self) -> float:
@@ -208,26 +205,17 @@ def tight_bounds(
         lower = q (1 - sum_{odd S in A} B_S) / (1 + sum_{even S in H} B_S).
 
     The result is intersected with the loose bounds, which are occasionally
-    narrower on one side.  Beyond n = CONTRACTION_ENUM_MAX the loose bounds
-    are returned, labelled "loose", with a warning.
+    narrower on one side.  More than MAX_WINDOWS windows raise before any
+    gamma_ij is evaluated.
     """
-    if list(history) != sorted(set(history)):
-        raise ValueError("history must be strictly increasing")
-    if history and query <= history[-1]:
-        raise ValueError("query must follow the history")
-    n = len(history) + 1
+    h = HistoryRecord(tuple(history), query)
+    n = h.order
+    if n > MAX_WINDOWS:
+        raise ValueError(f"{n} windows exceed MAX_WINDOWS = {MAX_WINDOWS}")
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
     loose = loose_bounds(n, q, gp.gamma)
-    if n > CONTRACTION_ENUM_MAX:
-        warnings.warn(
-            f"tight bounds implemented for n <= {CONTRACTION_ENUM_MAX}; history of "
-            f"order {n} falls back to loose bounds",
-            stacklevel=2,
-        )
-        return loose
-
-    windows = tuple(history) + (query,)
+    windows = h.excitations + (query,)
     gammas = np.zeros((n, n))
     for a, b in itertools.combinations(range(n), 2):
         gammas[a, b] = gammas[b, a] = gp.pair(windows[a], windows[b])

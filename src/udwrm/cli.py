@@ -26,6 +26,7 @@ from . import __version__
 from .bayes import CorrectionModel, Posterior, delta_p_first_order, posterior_trace
 from .bounds import GammaProfile, loose_bound_scan, loose_bounds, n_limit
 from .combinatorics import (
+    MAX_WINDOWS,
     crossing_count,
     partition_term_count,
     restricted_partitions,
@@ -35,7 +36,6 @@ from .kernel import WightmanKernel, accelerated, inertial
 from .response import DetectorParams, ResponseModel, q_closed_accelerated, q_closed_inertial, q_direct
 from .schedule import default_schedule
 from .strings import (
-    MAX_TABLE_LENGTH,
     BitString,
     born_string_prob,
     ratio_bounds,
@@ -104,13 +104,34 @@ def _config_value(block: dict, section: str, key: str, default, ok, expected: st
     return value
 
 
-# the keys of the blocks that describe the detector model
-_MODEL_KEYS = {
+# every config block and its keys; ``quadrature`` is read by earlier
+# versions and is accepted and ignored
+_CONFIG_KEYS = {
     "detector": ("omega", "lambda"),
     "worldline": ("kind", "alpha"),
     "schedule": ("sigma", "repetitions", "t_off_factor"),
+    "strings": ("length",),
+    "bounds": ("q", "gamma", "n_max"),
+    "bayes": ("bits", "chunk", "epsilon", "step_corrections"),
+    "oracle": ("env_dim", "length", "epsilon"),
+    "quadrature": ("qmc_points", "gl_order"),
 }
 _WORLDLINE_KINDS = ("inertial", "accelerated")
+
+
+def _check_config_keys(config) -> None:
+    """The config and each of its blocks are objects with known keys only."""
+    if not isinstance(config, dict):
+        raise ConfigError(f"the config must be an object, got {config!r}")
+    for section, block in config.items():
+        if section not in _CONFIG_KEYS:
+            raise ConfigError(f"{section} is not a known block ({', '.join(_CONFIG_KEYS)})")
+        if not isinstance(block, dict):
+            raise ConfigError(f"{section} must be an object, got {block!r}")
+        keys = _CONFIG_KEYS[section]
+        for key in block:
+            if key not in keys:
+                raise ConfigError(f"{section}.{key} is not a known key ({', '.join(keys)})")
 
 
 def _is_positive(v) -> bool:
@@ -122,18 +143,9 @@ def _model_config(config: dict, alpha_default: float | None = None):
 
     Returns (DetectorParams, worldline kind, alpha, ``default_schedule``
     keyword arguments).  An accelerated worldline needs ``alpha`` unless a
-    default is given; an unknown key in any of the three blocks is an error.
+    default is given.
     """
-    blocks = []
-    for section, keys in _MODEL_KEYS.items():
-        block = config.get(section, {})
-        if not isinstance(block, dict):
-            raise ConfigError(f"{section} must be an object, got {block!r}")
-        for key in block:
-            if key not in keys:
-                raise ConfigError(f"{section}.{key} is not a known key ({', '.join(keys)})")
-        blocks.append(block)
-    det, wl, sch = blocks
+    det, wl, sch = (config.get(section, {}) for section in ("detector", "worldline", "schedule"))
     positive = "a finite number > 0"
     d = DetectorParams(
         omega=_config_value(det, "detector", "omega", 0.2, _is_positive, positive),
@@ -170,7 +182,7 @@ def _model_config(config: dict, alpha_default: float | None = None):
 def _cmd_transition(args, config):
     d, _, alpha, schedule = _model_config(config, alpha_default=0.1)
     sigma = schedule["sigma"]
-    sched = default_schedule(sigma=sigma)
+    sched = default_schedule(**schedule)
     rows = []
     qi = q_closed_inertial(d, sigma)
     rows.append(["inertial", 0.0, "closed_form", qi.value, qi.abs_error])
@@ -186,7 +198,7 @@ def _cmd_transition(args, config):
 
 def _cmd_string_probs(args, config):
     d, kind, alpha, schedule = _model_config(config)
-    cap = min(schedule["repetitions"], MAX_TABLE_LENGTH)
+    cap = min(schedule["repetitions"], MAX_WINDOWS)
     length = _config_value(
         config.get("strings", {}),
         "strings",
@@ -440,6 +452,7 @@ def main(argv=None) -> int:
             print(f"{parser.prog}: config has no settings", file=sys.stderr)
             return 2
     try:
+        _check_config_keys(config)
         return _COMMANDS[args.command](args, config)
     except ConfigError as exc:
         parser.print_usage(sys.stderr)

@@ -1,16 +1,18 @@
-"""Exact integer enumeration of cross-interval contraction patterns.
+"""Cross-interval contraction patterns: exact counts, a reference
+enumeration, and the subset programme that sums over them.
 
 Every multi-interval correlation integral in this package is indexed by a
 pairing pattern: 2k interaction-interval endpoints matched into k pairs such
-that no pair stays inside a single interval.  This module counts and
-enumerates those patterns exactly (big-integer arithmetic throughout), along
-with the restricted partitions that organize them by connected component.
+that no pair stays inside a single interval.  This module counts those
+patterns exactly (big-integer arithmetic throughout), along with the
+restricted partitions that organize them by connected component.
 
 Each interval has exactly two endpoints, so a pattern is a union of cycles
 over intervals, and a sum over patterns is a sum over cycle covers.
 ``cycle_cover_sums`` evaluates such sums by a subset dynamic programme
-without listing the patterns; it is the one place the package sums over
-them.  The enumeration stays as the reference and the counting API.
+without listing the patterns, on at most ``MAX_WINDOWS`` intervals; it is
+the one place the package sums over them.  ``enumerate_contraction_classes``
+lists them, up to ``CONTRACTION_ENUM_MAX`` intervals, as its test reference.
 
 Note on the pairing-count base cases: the recurrence defining ``crossing_count``
 fixes c(0)=1 and c(1)=0 (the empty pairing exists; a single interval cannot
@@ -127,24 +129,6 @@ def partition_term_count(p: RestrictedPartition) -> int:
     return count
 
 
-def cyclic_term_count(p: RestrictedPartition) -> int:
-    """Number of distinct product-of-cycles monomials for partition p."""
-    k = p.total
-    count = 1
-    used = 0
-    for m in p.parts:
-        count *= math.comb(k - used, m) * _free_cycle_count(m)
-        used += m
-    for mult in p.row_multiplicities().values():
-        count //= math.factorial(mult)
-    return count
-
-
-def _free_cycle_count(m: int) -> int:
-    # (m-1)!/2 free cyclic orders for m >= 3; a 2-cycle is unique.
-    return 1 if m <= 2 else math.factorial(m - 1) // 2
-
-
 @dataclass(frozen=True)
 class ContractionClass:
     """One cross-interval pairing of 2k endpoints.
@@ -164,24 +148,6 @@ class ContractionClass:
             raise ValueError("edges are not a perfect matching on the endpoints")
         if any(a[0] == b[0] for a, b in self.edges):
             raise ValueError("an edge joins two endpoints of the same interval")
-
-    def partition(self) -> RestrictedPartition:
-        """Connected-component sizes over intervals, as a restricted partition."""
-        parent = {lab: lab for lab in self.interval_labels}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for (a, _), (b, _) in self.edges:
-            parent[find(a)] = find(b)
-        sizes: dict[int, int] = {}
-        for lab in self.interval_labels:
-            r = find(lab)
-            sizes[r] = sizes.get(r, 0) + 1
-        return RestrictedPartition(tuple(sorted(sizes.values(), reverse=True)))
 
 
 def _canonical_edges(edges):
@@ -224,6 +190,10 @@ def enumerate_contraction_classes(
     match(endpoints, [])
     classes.sort(key=lambda c: c.edges)
     return classes
+
+
+#: Most windows one ``cycle_cover_sums`` pass takes; it costs O(2^k k^2) link products.
+MAX_WINDOWS = 10
 
 
 def cycle_cover_sums(k: int, link) -> np.ndarray:
@@ -295,25 +265,3 @@ def subset_sums(values) -> np.ndarray:
         bit <<= 1
     return out
 
-
-def unrestricted_partition_count(k: int) -> int:
-    """pi(k), via Euler's pentagonal-number recurrence."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    table = [1] + [0] * k
-    for n in range(1, k + 1):
-        total = 0
-        j = 1
-        while True:
-            g1 = j * (3 * j - 1) // 2
-            g2 = j * (3 * j + 1) // 2
-            if g1 > n and g2 > n:
-                break
-            sign = -1 if j % 2 == 0 else 1
-            if g1 <= n:
-                total += sign * table[n - g1]
-            if g2 <= n:
-                total += sign * table[n - g2]
-            j += 1
-        table[n] = total
-    return table[k]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .combinatorics import CONTRACTION_ENUM_MAX, cycle_cover_sums
+from .combinatorics import MAX_WINDOWS, cycle_cover_sums
 from .kernel import WightmanKernel
 from .schedule import RepetitionSchedule
 
@@ -467,9 +467,12 @@ class ResponseModel:
         cached is read from the cache.  The others share one p-doubling
         loop: each is accepted, and cached, at the first resolution where
         its sum agrees with the previous one to its roundoff floor, the
-        error being their difference plus that floor (as for q).
+        error being their difference plus that floor (as for q).  More than
+        MAX_WINDOWS windows raise before any integral.
         """
         k = len(windows)
+        if k > MAX_WINDOWS:
+            raise ValueError(f"{k} windows exceed MAX_WINDOWS = {MAX_WINDOWS}")
         size = 1 << k
         values = np.zeros(size)
         errors = np.zeros(size)
@@ -543,10 +546,6 @@ class ResponseModel:
             raise ValueError(
                 f"query window {h.query} is past the last of "
                 f"{self.schedule.repetitions} repetitions"
-            )
-        if n > CONTRACTION_ENUM_MAX:
-            raise ValueError(
-                f"history of {n} windows exceeds CONTRACTION_ENUM_MAX = {CONTRACTION_ENUM_MAX}"
             )
         values, errors = self._subset_fractions(h.excitations + (h.query,))
         # the query is the last window: the masks without it are those below its bit

@@ -87,10 +87,6 @@ class StringProbability:
     abs_error: float
 
 
-#: Longest string table: 2^L strings from one subset pass over L windows.
-MAX_TABLE_LENGTH = 10
-
-
 def _chain_law(b: BitString, q: float, correction) -> StringProbability:
     """Chain-law string probability, each factor conditioned on the ones
     recorded before it.
@@ -142,14 +138,11 @@ def rm_string_table(length: int, model: ResponseModel) -> list[StringProbability
     One subset pass over windows 0..length-1 gives the correction fraction
     of every window subset; their zeta transform (and that of their errors)
     gives every history's correction sums, so each chain factor is a
-    lookup.  Histories are not capped by CONTRACTION_ENUM_MAX.
+    lookup.  The pass raises past MAX_WINDOWS windows.
     """
-    cap = min(model.schedule.repetitions, MAX_TABLE_LENGTH)
-    if not 1 <= length <= cap:
-        raise ValueError(
-            f"table length must lie in [1, {cap}] (min of the "
-            f"{model.schedule.repetitions} repetitions and {MAX_TABLE_LENGTH}), got {length}"
-        )
+    reps = model.schedule.repetitions
+    if not 1 <= length <= reps:
+        raise ValueError(f"table length must lie in [1, {reps}] (the repetitions), got {length}")
     values, errors = model._subset_fractions(tuple(range(length)))
     sums, sum_errors = subset_sums(values).tolist(), subset_sums(errors).tolist()
 

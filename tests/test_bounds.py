@@ -8,13 +8,15 @@ from udwrm import (
     GammaProfile,
     HistoryRecord,
     HorizonExceededError,
+    ResponseModel,
+    default_schedule,
     loose_bounds,
     n_limit,
     parity_correction_sum,
     tight_bounds,
 )
 from udwrm.bounds import MonotonicityError
-from udwrm.combinatorics import CONTRACTION_ENUM_MAX, crossing_count, cycle_cover_sums
+from udwrm.combinatorics import MAX_WINDOWS, crossing_count, cycle_cover_sums
 
 
 Q, GAMMA = 0.1, 0.01
@@ -108,7 +110,7 @@ def test_loose_bounds_raises_past_breakdown():
 
 
 def test_gamma_profile_constant():
-    gp = GammaProfile.constant(GAMMA)
+    gp = GammaProfile(GAMMA)
     assert gp.gamma == GAMMA
     assert gp.pair(0, 5) == pytest.approx(GAMMA)
 
@@ -129,7 +131,7 @@ def test_gamma_profile_rejects_nonmonotone_kernel(schedule):
 
 
 def test_tight_bounds_reduce_to_known_forms():
-    gp = GammaProfile.constant(GAMMA)
+    gp = GammaProfile(GAMMA)
     b2 = tight_bounds((0,), 1, Q, gp)
     assert b2.lower == Q
     assert b2.upper == pytest.approx(Q * (1 + 2 * GAMMA**2))
@@ -139,7 +141,7 @@ def test_tight_bounds_reduce_to_known_forms():
 
 
 def test_tight_bounds_inside_loose():
-    gp = GammaProfile.constant(GAMMA)
+    gp = GammaProfile(GAMMA)
     for hist, query, n in (((0,), 1, 2), ((0, 1), 2, 3), ((0, 1, 2), 3, 4)):
         tight = tight_bounds(hist, query, Q, gp)
         loose = loose_bounds(n, Q, GAMMA)
@@ -147,13 +149,51 @@ def test_tight_bounds_inside_loose():
         assert tight.upper <= loose.upper
 
 
-def test_tight_bounds_past_four_windows_are_loose():
-    gp = GammaProfile.constant(GAMMA)
-    n = CONTRACTION_ENUM_MAX + 1
-    with pytest.warns(UserWarning, match="falls back to loose bounds"):
-        b = tight_bounds(tuple(range(n - 1)), n - 1, Q, gp)
-    assert b == loose_bounds(n, Q, GAMMA)
-    assert b.kind == "loose"
+def test_tight_bounds_reach_max_windows():
+    n = 7
+    b = tight_bounds(tuple(range(n - 1)), n - 1, Q, GammaProfile(GAMMA))
+    loose = loose_bounds(n, Q, GAMMA)
+    assert b.kind == "tight"
+    assert loose.lower <= b.lower <= b.upper <= loose.upper
+
+    def no_work(*_):
+        raise AssertionError("a gamma_ij was evaluated past the window limit")
+
+    n = MAX_WINDOWS + 1
+    with pytest.raises(ValueError, match="MAX_WINDOWS"):
+        tight_bounds(tuple(range(n - 1)), n - 1, Q, GammaProfile(GAMMA, pair_fn=no_work))
+
+
+@pytest.mark.parametrize(
+    "history, query",
+    [((0, 2, 1), 3), ((0, 0), 3), ((0, 2), 2), ((0, 2), 1), ((-1, 2), 3), ((), -1)],
+    ids=["decreasing", "repeated", "query-at-last", "query-before-last", "negative", "neg-query"],
+)
+def test_tight_bounds_reject_bad_histories(history, query):
+    with pytest.raises(ValueError):
+        tight_bounds(history, query, Q, GammaProfile(GAMMA))
+
+
+@pytest.mark.parametrize("kind", ["inertial", "accelerated"])
+def test_tight_bounds_contain_histories_of_seven_to_ten_windows(
+    kind, inertial_kernel, accelerated_kernel, detector
+):
+    kern = inertial_kernel if kind == "inertial" else accelerated_kernel
+    sched = default_schedule(repetitions=10)
+    model = ResponseModel(kern, sched, detector)
+    gp = GammaProfile.from_kernel(kern, sched)
+    query = 9
+    # longest first: the all-ones pass over the ten windows caches every
+    # subset, so every later history is a cache read
+    histories = [
+        h for k in range(query, 5, -1) for h in itertools.combinations(range(query), k)
+    ]
+    assert len(histories) == 130
+    for history in histories:
+        p = model.conditional_excitation(HistoryRecord(excitations=history, query=query))
+        bound = tight_bounds(history, query, model.q, gp)
+        assert bound.kind == "tight"
+        assert bound.contains(p.value), (history, p, bound)
 
 
 def pair_bound(g):
@@ -228,7 +268,7 @@ def test_tight_bounds_contain_every_sign_rule_extreme_at_four_windows(
     # D those without the query, each fraction in [0, B] (even subsets) or
     # [-B, 0] (odd); the bounds hold N and D to these ranges separately
     if profile == "constant":
-        gp, history, query = GammaProfile.constant(GAMMA), (0, 1, 2), 3
+        gp, history, query = GammaProfile(GAMMA), (0, 1, 2), 3
     else:
         gp, history, query = GammaProfile.from_kernel(inertial_kernel, schedule), (0, 1, 3), 4
     bound = tight_bounds(history, query, Q, gp)
@@ -261,8 +301,8 @@ def test_tight_bounds_at_five_and_six_windows(
 
 
 def test_tight_bounds_widen_with_gamma():
-    narrow = tight_bounds((0,), 1, Q, GammaProfile.constant(0.005))
-    wide = tight_bounds((0,), 1, Q, GammaProfile.constant(0.02))
+    narrow = tight_bounds((0,), 1, Q, GammaProfile(0.005))
+    wide = tight_bounds((0,), 1, Q, GammaProfile(0.02))
     assert wide.upper - wide.lower > narrow.upper - narrow.lower
 
 

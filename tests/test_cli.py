@@ -359,6 +359,78 @@ def test_good_model_config_reaches_the_model(tmp_path, monkeypatch, command, con
         main([command, "--config", write_config(tmp_path, config)])
 
 
+def test_transition_builds_the_configured_schedule(tmp_path, capsys, monkeypatch):
+    from udwrm.response import ProbabilityResult
+
+    schedules = []
+
+    def capture(kern, sched, d):
+        schedules.append(sched)
+        return ProbabilityResult(1e-6, abs_error=0.0, method="quadrature")
+
+    monkeypatch.setattr("udwrm.cli.q_direct", capture)
+    schedule = {"sigma": 0.5, "repetitions": 3, "t_off_factor": 4.0}
+    code, _, err = run(
+        capsys, "transition", "--config", write_config(tmp_path, {"schedule": schedule})
+    )
+    assert code == 0, err
+    assert len(schedules) == 2
+    for sched in schedules:
+        assert sched.repetitions == 3
+        assert sched.t_on == 8.0 * 0.5
+        assert sched.t_off == 4.0 * sched.t_on
+
+
+# the CI config, plus the quadrature block the benchmark sends
+FULL_CONFIG = {
+    "detector": {"omega": 0.2, "lambda": 0.01},
+    "worldline": {"kind": "accelerated", "alpha": 0.1},
+    "schedule": {"sigma": 1.0, "repetitions": 8, "t_off_factor": 10.0},
+    "strings": {"length": 8},
+    "bounds": {"q": 0.1, "gamma": 0.01, "n_max": 5},
+    "oracle": {"env_dim": 8, "length": 8, "epsilon": 1e-3},
+    "bayes": {"bits": [0, 1, 0, 0, 0, 1], "epsilon": 0.0, "chunk": 2, "step_corrections": [0, 0]},
+    "quadrature": {"qmc_points": 1 << 20, "gl_order": 32},
+}
+
+
+def test_every_known_key_passes_the_key_check():
+    from udwrm.cli import _check_config_keys
+
+    _check_config_keys(FULL_CONFIG)
+
+
+BAD_CONFIGS = [
+    ({"oracle": {"env_dmi": 4, "length": 3}}, "oracle.env_dmi"),
+    ({"detectr": {"omega": 0.2}}, "detectr"),
+    ([1, 2], "the config must be an object"),
+    ({"strings": "x"}, "strings must be an object"),
+    ({**FULL_CONFIG, "bounds": {"q": 0.1, "gama": 0.01}}, "bounds.gama"),
+    ({**FULL_CONFIG, "quadrature": 3}, "quadrature must be an object"),
+]
+
+
+@pytest.mark.parametrize(
+    "config, named", BAD_CONFIGS, ids=[named for _, named in BAD_CONFIGS]
+)
+@pytest.mark.parametrize(
+    "command", ["transition", "string-probs", "bounds", "bayes", "oracle", "combinatorics"]
+)
+def test_bad_config_shape_exits_2_before_dispatch(
+    tmp_path, capsys, monkeypatch, command, config, named
+):
+    from udwrm import cli
+
+    def no_work(*_):
+        raise AssertionError("a subcommand ran on a bad config")
+
+    monkeypatch.setitem(cli._COMMANDS, command, no_work)
+    code, out, err = run(capsys, command, "--config", write_config(tmp_path, config))
+    assert code == 2
+    assert f"bad config: {named}" in err, err
+    assert out == ""
+
+
 def test_bayes_step_corrections_cover_the_longest_chunk(tmp_path, capsys):
     # a chunk longer than the record needs only one correction per outcome
     cfg = write_config(

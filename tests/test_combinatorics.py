@@ -10,13 +10,11 @@ import udwrm
 from udwrm.combinatorics import (
     crossing_count,
     cycle_cover_sums,
-    cyclic_term_count,
     double_factorial,
     enumerate_contraction_classes,
     partition_term_count,
     restricted_partitions,
     subset_sums,
-    unrestricted_partition_count,
     wick_term_count,
 )
 
@@ -112,18 +110,6 @@ def test_enumerate_classes_edges_cover_all_intervals():
     for c in enumerate_contraction_classes(3, (0, 2, 5)):
         touched = {i for e in c.edges for (i, _) in e}
         assert touched == {0, 2, 5}
-
-
-def test_cyclic_term_count_k3():
-    (p,) = restricted_partitions(3)
-    assert cyclic_term_count(p) > 0
-    assert cyclic_term_count(p) <= partition_term_count(p)
-
-
-def test_unrestricted_partition_count():
-    assert [unrestricted_partition_count(k) for k in range(1, 8)] == [
-        1, 2, 3, 5, 7, 11, 15,
-    ]
 
 
 def test_invalid_arguments():

@@ -27,7 +27,7 @@ from udwrm import (
     q_closed_inertial,
     q_direct,
 )
-from udwrm.combinatorics import CONTRACTION_ENUM_MAX
+from udwrm.combinatorics import CONTRACTION_ENUM_MAX, MAX_WINDOWS
 from udwrm.response import (
     CHEB_RESOLUTIONS,
     ROUNDOFF_UNITS,
@@ -243,14 +243,14 @@ def test_query_past_schedule_rejected(full_model):
         full_model.correction_ratio(HistoryRecord(excitations=(), query=past))
 
 
-def test_history_beyond_enumeration_rejected_before_integrals(
-    inertial_kernel, schedule, detector
-):
-    model = ResponseModel(inertial_kernel, schedule, detector)
-    h = HistoryRecord(excitations=tuple(range(CONTRACTION_ENUM_MAX)), query=7)
-    with pytest.raises(ValueError, match="CONTRACTION_ENUM_MAX"):
+def test_history_beyond_enumeration_rejected_before_integrals(inertial_kernel, detector):
+    # past MAX_WINDOWS, though inside the schedule's repetitions
+    model = ResponseModel(inertial_kernel, default_schedule(repetitions=12), detector)
+    h = HistoryRecord(excitations=tuple(range(MAX_WINDOWS)), query=MAX_WINDOWS)
+    with pytest.raises(ValueError, match="MAX_WINDOWS"):
         model.correction_sums(h)
     assert model._f_cache == {}
+    assert model._links == {}
 
 
 def test_first_window_is_unconditioned(full_model):

@@ -11,6 +11,7 @@ from udwrm import (
     WightmanKernel,
     accelerated,
     born_string_prob,
+    default_schedule,
     inertial,
     loose_bounds,
     n_limit,
@@ -142,14 +143,17 @@ def test_string_table_at_eight_windows(kind, schedule, detector):
         assert lo <= row.value / born_string_prob(q, b) <= hi, (str(b), row)
 
     # the last factor of 11111110 conditions on a history of 7 windows,
-    # past the per-history cap
+    # which the per-string chain law reaches too
     b = BitString.from_int(0b11111110, 8)
     assert str(b) == "11111110"
     row = table[b.to_int()]
     assert row.value > 0.0 and row.abs_error > 0.0
     assert math.isfinite(row.log_ratio_correction) and row.log_ratio_correction != 0.0
-    with pytest.raises(ValueError, match="CONTRACTION_ENUM_MAX"):
-        rm_string_prob(b, model)
+    ref = rm_string_prob(b, fresh_model(kind, schedule, detector))
+    assert abs(row.log_ratio_correction - ref.log_ratio_correction) <= (
+        row.abs_error / row.value
+    ), (row, ref)
+    assert abs(row.value - ref.value) <= row.abs_error + math.ulp(ref.value), (row, ref)
 
 
 def test_table_pass_caches_every_subset(schedule, detector, monkeypatch):
@@ -177,3 +181,8 @@ def test_string_table_length_is_capped(full_model):
         rm_string_table(0, full_model)
     with pytest.raises(ValueError, match="table length"):
         rm_string_table(full_model.schedule.repetitions + 1, full_model)
+    # inside the repetitions but past the window limit, before any integral
+    model = ResponseModel(full_model.kernel, default_schedule(repetitions=12), full_model.detector)
+    with pytest.raises(ValueError, match="MAX_WINDOWS"):
+        rm_string_table(11, model)
+    assert model._links == {}
