@@ -73,9 +73,7 @@ from .response import (
 from .schedule import (
     RepetitionSchedule,
     SwitchingProfile,
-    bump,
     default_schedule,
-    max_repetitions,
     truncated_gaussian,
 )
 from .strings import (
@@ -117,7 +115,6 @@ __all__ = [
     "Worldline",
     "accelerated",
     "born_string_prob",
-    "bump",
     "calQ",
     "crossing_count",
     "default_schedule",
@@ -130,7 +127,6 @@ __all__ = [
     "iid_model",
     "inertial",
     "loose_bounds",
-    "max_repetitions",
     "n_limit",
     "operator_schmidt",
     "parity_correction_sum",

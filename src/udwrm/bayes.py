@@ -9,6 +9,7 @@ and is integrated with the trapezoid rule.
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Callable
@@ -28,32 +29,23 @@ class DegenerateEvidenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class CorrectionModel:
-    """Order-epsilon (or epsilon^2) deviation from the Born string law.
+    """Order-epsilon deviation from the Born string law.
 
     ``delta_p(q, B)`` must accept a grid of q values and return the
     correction Delta P_q(B) on that grid; the likelihood under H2 is
-    Born + epsilon^order * delta_p.  It must be a pure function of (q, B):
-    ``posterior_trace`` evaluates it once per distinct string of a record
-    and reuses the result for every repeat of that string.
+    Born + epsilon * delta_p (for a correction of order epsilon^2, pass
+    epsilon^2).  It must be a pure function of (q, B): ``posterior_trace``
+    evaluates it once per distinct string of a record and reuses the result
+    for every repeat of that string.
     """
 
     coupling_epsilon: float
     delta_p: Callable[[np.ndarray, BitString], np.ndarray]
-    order: str = "first"
 
     def __post_init__(self) -> None:
-        if self.coupling_epsilon < 0:
-            raise ValueError("coupling_epsilon must be >= 0")
-        if self.order not in ("first", "second"):
-            raise ValueError("order must be 'first' or 'second'")
-
-    @property
-    def epsilon_power(self) -> float:
-        return (
-            self.coupling_epsilon
-            if self.order == "first"
-            else self.coupling_epsilon**2
-        )
+        eps = self.coupling_epsilon
+        if not (math.isfinite(eps) and eps >= 0):
+            raise ValueError(f"coupling_epsilon must be a finite number >= 0, got {eps!r}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -103,17 +95,14 @@ class Posterior:
             raise ValueError("family index must be 1 or 2")
         return float(self._weights @ (self.h1 if i == 1 else self.h2))
 
-    def q_marginal(self) -> np.ndarray:
-        return self.h1 + self.h2
-
 
 def _likelihoods(q: np.ndarray, b: BitString, m: CorrectionModel):
     """Per-family likelihoods of the string b on the grid: the Born product
-    q^n (1-q)^z, and that plus epsilon^order * delta_p clipped at zero."""
+    q^n (1-q)^z, and that plus epsilon * delta_p clipped at zero."""
     n = b.popcount
     zeros = b.length - n
     like1 = q**n * (1.0 - q) ** zeros
-    like2 = like1 + m.epsilon_power * np.asarray(m.delta_p(q, b), dtype=float)
+    like2 = like1 + m.coupling_epsilon * np.asarray(m.delta_p(q, b), dtype=float)
     like2 = np.clip(like2, 0.0, None)  # an order-eps model can dip below zero
     return like1, like2
 
@@ -168,17 +157,17 @@ def fapp_verdict(
     probability at the given coupling, else 'indistinguishable' (the Born
     rule is usable for all practical purposes).
 
-    Resolvability threshold: |Delta P| / P >= kappa / epsilon^order.
+    Resolvability threshold: |Delta P| / P >= kappa / epsilon.
     """
     if kappa <= 0:
         raise ValueError("kappa must be > 0")
     born = born_string_prob(q, b)
     if born <= 0.0:
         raise ValueError("Born probability of the observed string vanishes")
-    if m.epsilon_power == 0.0:
+    if m.coupling_epsilon == 0.0:
         return "indistinguishable"
     delta = float(np.asarray(m.delta_p(np.array([q]), b))[0])
-    if abs(delta) / born >= kappa / m.epsilon_power:
+    if abs(delta) / born >= kappa / m.coupling_epsilon:
         return "h2_selected"
     return "indistinguishable"
 

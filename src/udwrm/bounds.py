@@ -22,7 +22,11 @@ from .kernel import WightmanKernel, extreme_point_value
 from .response import HistoryRecord
 from .schedule import RepetitionSchedule
 
+#: n_limit's scan stops here, with a warning, if no horizon is met first.
 N_LIMIT_CAP = 10_000
+#: GammaProfile.from_kernel checks that gamma_(0, j) decreases for
+#: j = 1 .. MONOTONICITY_SEPARATIONS.
+MONOTONICITY_SEPARATIONS = 16
 
 
 class HorizonExceededError(RuntimeError):
@@ -64,20 +68,14 @@ class GammaProfile:
         self._pair_fn = pair_fn
 
     @classmethod
-    def from_kernel(
-        cls,
-        kern: WightmanKernel,
-        sched: RepetitionSchedule,
-        *,
-        check_separations: int = 16,
-    ) -> "GammaProfile":
+    def from_kernel(cls, kern: WightmanKernel, sched: RepetitionSchedule) -> "GammaProfile":
         reference = abs(kern.limit(sched.t_on))
 
         def pair(i: int, j: int) -> float:
             return abs(extreme_point_value(kern, sched, i, j)) / reference
 
         gamma = pair(0, 1)
-        ratios = [pair(0, j) for j in range(1, check_separations + 1)]
+        ratios = [pair(0, j) for j in range(1, MONOTONICITY_SEPARATIONS + 1)]
         if any(b >= a for a, b in zip(ratios, ratios[1:])):
             raise MonotonicityError(
                 "correlator magnitude does not decrease with window separation"
@@ -170,7 +168,7 @@ def loose_bounds(n: int, q: float, gamma: float) -> BoundPair:
     return scan[-1]
 
 
-def n_limit(q: float, gamma: float, cap: int = N_LIMIT_CAP) -> int:
+def n_limit(q: float, gamma: float) -> int:
     """Validity horizon of the loose bounds: the first n at which they fail.
 
     Conditional probabilities are trustworthy only for histories strictly
@@ -179,12 +177,12 @@ def n_limit(q: float, gamma: float, cap: int = N_LIMIT_CAP) -> int:
     conditions are monotone in n, so the scan stops at the first failure.
     """
     _check_q_gamma(q, gamma)
-    sums = itertools.islice(_parity_sums(gamma), 1, cap)
+    sums = itertools.islice(_parity_sums(gamma), 1, N_LIMIT_CAP)
     for n, (_, o_prev, e, o) in enumerate(sums, start=2):
         if o >= 1.0 or o_prev >= 1.0 or q * (1.0 + e) / (1.0 - o_prev) >= 1.0:
             return n
-    warnings.warn(f"validity horizon exceeds the search cap {cap}", stacklevel=2)
-    return cap
+    warnings.warn(f"validity horizon exceeds the search cap {N_LIMIT_CAP}", stacklevel=2)
+    return N_LIMIT_CAP
 
 
 def tight_bounds(

@@ -378,14 +378,7 @@ def _cmd_oracle(args, config):
 def _cmd_combinatorics(args, config):
     rows = []
     for k in range(2, 9):
-        rows.append(
-            [
-                k,
-                len(restricted_partitions(k)),
-                crossing_count(k),
-                wick_term_count(k) if k <= 12 else "",
-            ]
-        )
+        rows.append([k, len(restricted_partitions(k)), crossing_count(k), wick_term_count(k)])
     for p in restricted_partitions(4):
         rows.append([f"partition_{'+'.join(map(str, p.parts))}", "", partition_term_count(p), ""])
     _emit(

@@ -2,9 +2,10 @@
 
 Two stationary trajectories are supported: a detector at rest and one in
 uniform proper acceleration.  Both give a correlator depending only on the
-proper-time difference s; a small imaginary shift (the frequency cut-off
-``regulator_epsilon``) keeps it finite at s = 0.  The cut-off parameter is
-deliberately named apart from the weak-coupling parameter used elsewhere.
+proper-time difference s; a small imaginary shift (the cut-off ``epsilon``
+that every call of ``WightmanKernel.value`` passes) keeps it finite at
+s = 0.  Quadrature extrapolates it to zero; it is not the weak-coupling
+parameter used elsewhere.
 """
 
 from __future__ import annotations
@@ -28,8 +29,10 @@ class Worldline:
         if self.kind not in ("inertial", "accelerated"):
             raise ValueError(f"unknown worldline kind {self.kind!r}")
         if self.kind == "accelerated":
-            if self.alpha is None or self.alpha <= 0:
-                raise ValueError("accelerated worldline needs alpha > 0")
+            if self.alpha is None or not (math.isfinite(self.alpha) and self.alpha > 0):
+                raise ValueError(
+                    f"accelerated worldline needs alpha a finite number > 0, got {self.alpha!r}"
+                )
         elif self.alpha is not None:
             raise ValueError("inertial worldline takes no acceleration")
 
@@ -54,27 +57,22 @@ class WightmanKernel:
     """Vacuum two-point correlator pulled back to a stationary worldline."""
 
     worldline: Worldline
-    regulator_epsilon: float = 1e-3
 
-    def __post_init__(self) -> None:
-        if self.regulator_epsilon <= 0:
-            raise ValueError("regulator_epsilon must be > 0")
-
-    def value(self, s, epsilon: float | None = None):
-        """Regularized correlator at proper-time difference s (complex).
+    def value(self, s, epsilon: float):
+        """Regularized correlator at proper-time difference s (complex), at
+        cut-off epsilon.
 
         Inertial: -1/(4 pi^2) (s - i eps)^-2.
         Accelerated: -a^2/(16 pi^2) sinh^-2(a s / 2 - i a eps).
         """
-        eps = self.regulator_epsilon if epsilon is None else epsilon
-        if eps <= 0:
+        if epsilon <= 0:
             raise ValueError("epsilon must be > 0")
         s = np.asarray(s, dtype=float)
         if self.worldline.kind == "inertial":
-            z = s - 1j * eps
+            z = s - 1j * epsilon
             return -1.0 / (TWO_PI**2) / (z * z)
         a = self.worldline.alpha
-        sh = np.sinh(0.5 * a * s - 1j * a * eps)
+        sh = np.sinh(0.5 * a * s - 1j * a * epsilon)
         return -(a**2) / (4.0 * TWO_PI**2) / (sh * sh)
 
     def limit(self, s):

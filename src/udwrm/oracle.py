@@ -30,9 +30,11 @@ UNITARITY_TOL = 1e-10
 BRANCH_TOL = 1e-12
 # complex amplitudes evolved per batch of branches in the measurement tree
 TREE_BLOCK = 1 << 18
-# Runge-Kutta steps of the propagator check: the first run, and the cap
+# Runge-Kutta steps of the propagator check: the first run, and the cap;
+# the steps halve until two runs agree entrywise to RK_TOL
 RK_STEPS = 16
 RK_MAX_STEPS = 1 << 20
+RK_TOL = 1e-12
 # absolute roundoff allowed in an exact step probability: 64 ulp of 1, six
 # times the largest deviation measured (at eps = 1e-6, d = 4, 5, 8, seeds
 # 0-199, where the true O(eps^3) remainder is below 1e-16)
@@ -371,7 +373,7 @@ def remainder_check(
     return RemainderCheck(tuple(eps), tuple(res), contraction, bound_ratio)
 
 
-def propagator_consistency(m: FiniteRmModel, k: int, rtol: float = 1e-12) -> float:
+def propagator_consistency(m: FiniteRmModel, k: int) -> float:
     """Max deviation between the model's step unitary U_k and an explicit
     Runge-Kutta integration of i psi' = eps G_k psi over unit time, for all
     basis columns at once, times U (x) I.
@@ -379,7 +381,7 @@ def propagator_consistency(m: FiniteRmModel, k: int, rtol: float = 1e-12) -> flo
     For this linear equation a classical fourth-order step is the degree-4
     Taylor polynomial of exp(-i dt eps G_k), so a run is that polynomial's
     power and uses no eigendecomposition.  The step halves from
-    1 / RK_STEPS until two runs agree entrywise to ``rtol``.
+    1 / RK_STEPS until two runs agree entrywise to RK_TOL.
     """
     h = m.epsilon * m.generators[k]
     eye = np.eye(h.shape[0])
@@ -388,7 +390,7 @@ def propagator_consistency(m: FiniteRmModel, k: int, rtol: float = 1e-12) -> flo
         z = (-1j / steps) * h
         step = eye + z @ (eye + z @ (eye + z @ (eye + z / 4.0) / 3.0) / 2.0)
         integrated = np.linalg.matrix_power(step, steps)
-        if prev is not None and np.max(np.abs(integrated - prev)) <= rtol:
+        if prev is not None and np.max(np.abs(integrated - prev)) <= RK_TOL:
             expected = integrated @ m._uncoupled_step
             return float(np.max(np.abs(m.step_unitary(k) - expected)))
         steps, prev = 2 * steps, integrated

@@ -24,7 +24,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .combinatorics import MAX_WINDOWS, cycle_cover_sums
 from .kernel import WightmanKernel
-from .schedule import RepetitionSchedule
+from .schedule import RepetitionSchedule, is_integer
 
 WEAK_COUPLING_WARN = 0.1
 
@@ -37,10 +37,10 @@ class DetectorParams:
     lam: float
 
     def __post_init__(self) -> None:
-        if self.omega <= 0:
-            raise ValueError("omega must be > 0")
-        if self.lam <= 0:
-            raise ValueError("lam must be > 0")
+        for name in ("omega", "lam"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
         if self.lam > WEAK_COUPLING_WARN:
             warnings.warn(
                 f"coupling {self.lam} exceeds the weak-coupling regime "
@@ -70,11 +70,20 @@ class HistoryRecord:
     query: int
 
     def __post_init__(self) -> None:
-        if any(n < 0 for n in self.excitations):
-            raise ValueError("interval indices must be >= 0")
-        if list(self.excitations) != sorted(set(self.excitations)):
-            raise ValueError("excitation intervals must be strictly increasing")
-        if self.excitations and self.query <= self.excitations[-1]:
+        last = -1
+        for n in self.excitations:
+            if not is_integer(n):
+                raise ValueError(
+                    f"excitations must be integer window indices, got {self.excitations!r}"
+                )
+            if n < 0:
+                raise ValueError("interval indices must be >= 0")
+            if n <= last:
+                raise ValueError("excitation intervals must be strictly increasing")
+            last = n
+        if not is_integer(self.query):
+            raise ValueError(f"query must be an integer window index, got {self.query!r}")
+        if self.excitations and self.query <= last:
             raise ValueError("query interval must follow all excitations")
         if self.query < 0:
             raise ValueError("query interval must be >= 0")
@@ -204,42 +213,39 @@ def q_closed_accelerated(d: DetectorParams, sigma: float, alpha: float) -> Proba
     )
 
 
-def _overlap_function(
-    sched: RepetitionSchedule, interval: int, truncated: bool, gl_nodes: int = 240
-):
+#: Gauss-Legendre nodes of the window overlap integral at each s.
+OVERLAP_NODES = 240
+
+
+def _overlap_function(sched: RepetitionSchedule, truncated: bool):
     """Auto-correlation of the window profile: G(s) = int chi(u) chi(u-s) du,
-    vectorized over s.
+    vectorized over s; returns (G, the largest s at which it is needed).
 
-    With ``truncated`` the integral runs over the actual interaction window
-    of the given repetition interval, by one gl_nodes-point Gauss-Legendre
-    rule per s (a (len(s), gl_nodes) matrix times the weights); otherwise
-    the profile's tails are kept and the overlap runs over the whole line
-    (the closed forms' convention).
+    With ``truncated`` the integral runs over window 0's interaction
+    interval [0, t_on], by one OVERLAP_NODES-point Gauss-Legendre rule per s
+    (a (len(s), OVERLAP_NODES) matrix times the weights); otherwise the
+    Gaussian's tails are kept and the overlap runs over the whole line (the
+    closed forms' convention).
     """
-    lo, hi = sched.interaction_interval(interval)
-    x, wts = _gauss_legendre(gl_nodes)
-
     if truncated:
+        x, wts = _gauss_legendre(OVERLAP_NODES)
+        t_on = sched.t_on
+
         def overlap(s: np.ndarray) -> np.ndarray:
-            s = np.minimum(np.asarray(s, dtype=float), sched.t_on)
-            half = 0.5 * (hi - lo - s)[..., None]
-            u = half * x + (hi - half)
+            s = np.minimum(np.asarray(s, dtype=float), t_on)
+            half = 0.5 * (t_on - s)[..., None]
+            u = half * x + (t_on - half)
             vals = sched.chi(u) * sched.chi(u - s[..., None])
             return half[..., 0] * (vals @ wts)
 
-        return overlap, sched.t_on
+        return overlap, t_on
 
-    if sched.profile.kind == "truncated_gaussian":
-        sig = sched.profile.width
-        s_max = 14.0 * sig
+    sig = sched.profile.width
 
-        def overlap(s: np.ndarray) -> np.ndarray:
-            return sig * math.sqrt(math.pi) * np.exp(-s * s / (4.0 * sig**2))
+    def overlap(s: np.ndarray) -> np.ndarray:
+        return sig * math.sqrt(math.pi) * np.exp(-s * s / (4.0 * sig**2))
 
-        return overlap, s_max
-
-    # bump profiles are compactly supported; truncation changes nothing
-    return _overlap_function(sched, interval, truncated=True, gl_nodes=gl_nodes)
+    return overlap, 14.0 * sig
 
 
 def _richardson(values: list[float]) -> tuple[float, float]:
@@ -256,22 +262,27 @@ def _richardson(values: list[float]) -> tuple[float, float]:
     return best, abs(best - alt)
 
 
+#: The regulator cut-offs of ``q_direct``: CUTOFF_START / 2^j for
+#: j < CUTOFF_LEVELS, extrapolated to zero.  The extrapolation is rejected
+#: when its spread exceeds 10 EXTRAPOLATION_REL_TOL times the value.
+CUTOFF_START = 0.1
+CUTOFF_LEVELS = 5
+EXTRAPOLATION_REL_TOL = 1e-6
+
+
 def q_direct(
     kern: WightmanKernel,
     sched: RepetitionSchedule,
     d: DetectorParams,
     *,
-    interval: int = 0,
-    eps0: float = 0.1,
-    levels: int = 5,
     truncated: bool = True,
-    rel_tol: float = 1e-6,
 ) -> ProbabilityResult:
     """Single-window excitation probability by regularized quadrature.
 
-    2 lam^2 int du int ds chi(u) chi(u-s) Re[exp(-i w s) W_eps(s)], reduced
-    to one dimension through the window auto-correlation, evaluated on the
-    cut-off sequence eps0 / 2^j and extrapolated to zero.  Each level is a
+    2 lam^2 int du int ds chi(u) chi(u-s) Re[exp(-i w s) W_eps(s)] over
+    window 0, reduced to one dimension through the window auto-correlation,
+    evaluated on the fixed cut-off sequence CUTOFF_START / 2^j,
+    j < CUTOFF_LEVELS, and extrapolated to zero.  Each level is a
     Gauss-Legendre panel rule on the geometric panels [0, eps], [eps, 2 eps],
     [2 eps, 4 eps], ..., which resolve the correlator's pole at s = i eps
     (see _panel_quadrature).  The error is the extrapolation spread plus
@@ -281,9 +292,7 @@ def q_direct(
     ``truncated=False`` keeps the profile's tails (infinite-interaction
     reference mode, directly comparable to the closed forms).
     """
-    if eps0 <= 0 or levels < 2:
-        raise ValueError("need eps0 > 0 and at least two extrapolation levels")
-    overlap, s_max = _overlap_function(sched, interval, truncated)
+    overlap, s_max = _overlap_function(sched, truncated)
     known: dict[tuple[float, float], np.ndarray] = {}
 
     def panel_overlap(s: np.ndarray) -> np.ndarray:
@@ -303,45 +312,32 @@ def q_direct(
         value, error = _panel_quadrature(f, _geometric_edges(eps, s_max))
         return 2.0 * value, 2.0 * error
 
-    values, errors = zip(*(level_value(eps0 / 2**j) for j in range(levels)))
+    values, errors = zip(*(level_value(CUTOFF_START / 2**j) for j in range(CUTOFF_LEVELS)))
     best, err = _richardson(values)
-    if not math.isfinite(best) or (best != 0.0 and err > 10 * rel_tol * abs(best)):
+    if not math.isfinite(best) or (best != 0.0 and err > 10 * EXTRAPOLATION_REL_TOL * abs(best)):
         raise QuadratureError(
             f"cut-off extrapolation unstable: value {best:g}, spread {err:g}, "
             f"levels {list(values)}"
         )
     # each Neville step at most multiplies the levels' errors by (2^m + 1) / (2^m - 1)
-    carried = max(errors) * math.prod((2**m + 1) / (2**m - 1) for m in range(1, levels))
+    carried = max(errors) * math.prod((2**m + 1) / (2**m - 1) for m in range(1, CUTOFF_LEVELS))
     value = d.lam**2 * best
     return ProbabilityResult(
         value=value, abs_error=d.lam**2 * (err + carried), method="quadrature"
     )
 
 
-def calQ(
-    kern: WightmanKernel,
-    sched: RepetitionSchedule,
-    d: DetectorParams,
-    mode: str = "closed_form",
-) -> float:
-    """Single-window response q / lam^2.
-
-    ``closed_form`` uses the infinite-interaction Gaussian results (the
-    convention under which all published reference numbers are produced);
-    ``quadrature`` integrates the schedule's actual truncated profile.
-    """
-    if mode == "closed_form":
-        if sched.profile.kind != "truncated_gaussian":
-            raise ValueError("closed-form mode needs a Gaussian profile")
-        sigma = sched.profile.width
-        if kern.worldline.kind == "inertial":
-            q = q_closed_inertial(d, sigma)
-        else:
-            q = q_closed_accelerated(d, sigma, kern.worldline.alpha)
-        return q.value / d.lam**2
-    if mode == "quadrature":
-        return q_direct(kern, sched, d).value / d.lam**2
-    raise ValueError(f"unknown calQ mode {mode!r}")
+def calQ(kern: WightmanKernel, sched: RepetitionSchedule, d: DetectorParams) -> float:
+    """Single-window response q / lam^2 from the infinite-interaction
+    Gaussian closed forms: the normalisation of every correction fraction,
+    and the convention under which all published reference numbers are
+    produced."""
+    sigma = sched.profile.width
+    if kern.worldline.kind == "inertial":
+        q = q_closed_inertial(d, sigma)
+    else:
+        q = q_closed_accelerated(d, sigma, kern.worldline.alpha)
+    return q.value / d.lam**2
 
 
 #: Chebyshev resolutions p of the cross-window correlators, tried in turn
@@ -419,7 +415,6 @@ class ResponseModel:
         sched: RepetitionSchedule,
         detector: DetectorParams,
         *,
-        q_mode: str = "closed_form",
         gl_order: int = 32,
         qmc_points: int = 1 << 20,
         seed: int = 0,
@@ -428,8 +423,7 @@ class ResponseModel:
         self.kernel = kern
         self.schedule = sched
         self.detector = detector
-        self.q_mode = q_mode
-        self._calq = calQ(kern, sched, detector, mode=q_mode)
+        self._calq = calQ(kern, sched, detector)
         self._f_cache: dict[tuple[int, ...], tuple[float, float]] = {}
         self._moments: dict[int, np.ndarray] = {}
         self._links: dict[tuple[int, int, int], np.ndarray] = {}

@@ -59,15 +59,6 @@ def test_positive_correction_shifts_mass_to_h2():
     assert p.total_mass() == pytest.approx(1.0)
 
 
-def test_second_order_model_uses_epsilon_squared():
-    m1 = CorrectionModel(coupling_epsilon=0.1, delta_p=zero_delta, order="first")
-    m2 = CorrectionModel(coupling_epsilon=0.1, delta_p=zero_delta, order="second")
-    assert m1.epsilon_power == pytest.approx(0.1)
-    assert m2.epsilon_power == pytest.approx(0.01)
-    with pytest.raises(ValueError):
-        CorrectionModel(coupling_epsilon=0.1, delta_p=zero_delta, order="third")
-
-
 def test_degenerate_evidence_raises():
     def impossible(q, b):
         return -np.ones_like(q) * 1e6
@@ -118,7 +109,7 @@ def update_posterior_reference(p: Posterior, b: BitString, m: CorrectionModel) -
     n = b.popcount
     zeros = b.length - n
     like1 = p.q**n * (1.0 - p.q) ** zeros
-    like2 = like1 + m.epsilon_power * np.asarray(m.delta_p(p.q, b), dtype=float)
+    like2 = like1 + m.coupling_epsilon * np.asarray(m.delta_p(p.q, b), dtype=float)
     like2 = np.clip(like2, 0.0, None)  # an order-eps model can dip below zero
     new1 = p.h1 * like1
     new2 = p.h2 * like2

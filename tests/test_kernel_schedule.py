@@ -10,12 +10,7 @@ from udwrm.kernel import (
     inertial,
     unruh_temperature,
 )
-from udwrm.schedule import (
-    bump,
-    default_schedule,
-    max_repetitions,
-    truncated_gaussian,
-)
+from udwrm.schedule import default_schedule, truncated_gaussian
 
 
 def test_inertial_limit_closed_form():
@@ -68,10 +63,6 @@ def test_switching_profile_normalization_and_support():
     assert p.value(0.0) == pytest.approx(1.0)
     assert p.value(p.half_width + 0.1) == 0.0
     assert p.value(-p.half_width - 0.1) == 0.0
-    b = bump(2.0)
-    assert b.compact_support
-    assert b.value(0.0) == pytest.approx(1.0)
-    assert b.value(2.0) == 0.0
 
 
 def test_schedule_geometry():
@@ -98,12 +89,6 @@ def test_chi_rm_tiles_windows():
     assert s.chi(c0) == pytest.approx(s.chi(c2))
     # dead time between windows
     assert s.chi((s.interaction_interval(0)[1] + s.interaction_interval(1)[0]) / 2) == 0.0
-
-
-def test_max_repetitions_scales_with_horizon():
-    s = default_schedule()
-    n_small = max_repetitions(truncated_gaussian(1.0), s)
-    assert n_small is None or n_small >= 1
 
 
 def test_extreme_point_value_monotone_decay():

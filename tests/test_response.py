@@ -14,8 +14,10 @@ from scipy.special import erfcx, zeta
 
 import udwrm
 from udwrm import (
+    CorrectionModel,
     DetectorParams,
     HistoryRecord,
+    RepetitionSchedule,
     ResponseModel,
     WightmanKernel,
     accelerated,
@@ -30,6 +32,8 @@ from udwrm import (
 from udwrm.combinatorics import CONTRACTION_ENUM_MAX, MAX_WINDOWS
 from udwrm.response import (
     CHEB_RESOLUTIONS,
+    CUTOFF_LEVELS,
+    CUTOFF_START,
     ROUNDOFF_UNITS,
     QuadratureError,
     _panel_quadrature,
@@ -142,13 +146,13 @@ def test_q_closed_accelerated_error_covers_references_property(omega, sigma, alp
         estimates["quadrature"] = quadrature_estimate(d, sigma, alpha)
     except QuadratureError:
         # the cut-off extrapolation has no stable limit at sigma near 0.5,
-        # w sigma above about 4, or alpha eps0 near 1; the image sum then
+        # w sigma above about 4, or alpha CUTOFF_START near 1; the image sum then
         # remains the independent reference
         event("quadrature declined")
     assert_errors_cover(estimates)
 
 
-def quad_reference(kern, sched, d, truncated, eps0=0.1, levels=5):
+def quad_reference(kern, sched, d, truncated):
     """q_direct with adaptive QUADPACK levels, (value, abs_error).
 
     Each cut-off level integrates the overlap-weighted correlator by two
@@ -183,9 +187,9 @@ def quad_reference(kern, sched, d, truncated, eps0=0.1, levels=5):
             v2, e2 = quad(f, cut, s_max, limit=400, epsabs=1e-16, epsrel=1e-13)
         return 2.0 * (v1 + v2), 2.0 * (e1 + e2)
 
-    values, errors = zip(*(level_value(eps0 / 2**j) for j in range(levels)))
+    values, errors = zip(*(level_value(CUTOFF_START / 2**j) for j in range(CUTOFF_LEVELS)))
     best, spread = _richardson(values)
-    carried = max(errors) * math.prod((2**m + 1) / (2**m - 1) for m in range(1, levels))
+    carried = max(errors) * math.prod((2**m + 1) / (2**m - 1) for m in range(1, CUTOFF_LEVELS))
     return d.lam**2 * best, d.lam**2 * (spread + carried)
 
 
@@ -229,10 +233,45 @@ def test_calq_strips_coupling(inertial_kernel, schedule, detector):
 def test_history_record_validation():
     h = HistoryRecord(excitations=(0, 2), query=5)
     assert h.order == 3
+    assert HistoryRecord(tuple(np.arange(2)), np.int64(3)).order == 3
     with pytest.raises(ValueError):
         HistoryRecord(excitations=(2, 0), query=5)
     with pytest.raises(ValueError):
         HistoryRecord(excitations=(0, 2), query=2)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: DetectorParams(math.nan, 0.01), "omega"),
+        (lambda: DetectorParams(0.2, math.inf), "lam"),
+        (lambda: accelerated(math.nan), "alpha"),
+        (lambda: default_schedule(sigma=math.nan), "width"),
+        (lambda: default_schedule(t_off_factor=math.nan), "t_off"),
+        (lambda: RepetitionSchedule(math.inf, 1.0, 4), "t_on"),
+        (lambda: RepetitionSchedule(8.0, 80.0, 4.0), "repetitions"),
+        (lambda: CorrectionModel(math.nan, lambda q, b: 0.0 * q), "coupling_epsilon"),
+        (lambda: HistoryRecord((0.5,), 2), "excitations"),
+        (lambda: HistoryRecord((True,), 2), "excitations"),
+        (lambda: HistoryRecord((0,), 2.0), "query"),
+    ],
+    ids=[
+        "omega-nan",
+        "lam-inf",
+        "alpha-nan",
+        "sigma-nan",
+        "t_off_factor-nan",
+        "t_on-inf",
+        "repetitions-float",
+        "coupling_epsilon-nan",
+        "excitation-float",
+        "excitation-bool",
+        "query-float",
+    ],
+)
+def test_non_finite_or_non_integer_input_rejected_at_construction(build, field):
+    with pytest.raises(ValueError, match=field):
+        build()
 
 
 def test_query_past_schedule_rejected(full_model):
@@ -352,6 +391,31 @@ def test_f_fraction_error_covers_reference(kind, gaps, full_model, full_accelera
     assert abs(val - ref) <= err, (val, ref, err)
 
 
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(
+    omega=st.floats(0.05, 2.0),
+    sigma=st.floats(0.5, 3.0),
+    accel=st.none() | st.floats(0.0, 1.0),
+    t_off_factor=st.floats(2.0, 20.0),
+)
+def test_f_fraction_error_covers_converged_reference_property(
+    omega, sigma, accel, t_off_factor
+):
+    # inertial, or alpha sigma in [1e-3 sigma, 2]: from about 2.2 on the
+    # fractions raise QuadratureError
+    alpha = None if accel is None else 1e-3 + accel * (2.0 / sigma - 1e-3)
+    kern = WightmanKernel(inertial() if alpha is None else accelerated(alpha))
+    sched = default_schedule(sigma=sigma, repetitions=4, t_off_factor=t_off_factor)
+    model = ResponseModel(kern, sched, DetectorParams(omega=omega, lam=1e-2))
+    for gaps in ((0, 1), (0, 2)):
+        val, err = model.f_fraction(gaps)
+        ref48 = reference_fraction(model, gaps, order=48)
+        ref32 = reference_fraction(model, gaps, order=32)
+        assert abs(val - ref48) <= err, (gaps, val, ref48, err)
+        # the reference has itself converged to within the claimed error
+        assert abs(ref48 - ref32) <= err, (gaps, ref48, ref32, err)
+
+
 def class_value(model, cls, p):
     """One contraction class at Chebyshev resolution p: the product over its
     cycles of the traces of the link products, each cycle walked from its
@@ -417,7 +481,7 @@ def test_f_fraction_refines_fast_decaying_correlator(schedule, detector):
     # at alpha = 1 the correlator falls like exp(-alpha s) across a window,
     # which the starting Chebyshev resolution misses at the 1e-6 level
     kern = WightmanKernel(accelerated(1.0))
-    model = ResponseModel(kern, schedule, detector, q_mode="quadrature")
+    model = ResponseModel(kern, schedule, detector)
     val, err = model.f_fraction((0, 1))
     ref = reference_fraction(model, (0, 1))
     assert abs(val - ref) <= err, (val, ref, err)
