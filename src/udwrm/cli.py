@@ -5,6 +5,11 @@ transition probabilities, per-string probabilities and corrections, the
 loose-bound horizon table, Bayesian posterior traces, the finite-dimensional
 oracle verification sweep, and the pairing-count tables.
 
+The config format is one table, ``_CONFIG``: every block and key with its
+default and its check.  ``main`` checks every given value against it before
+any subcommand runs, whichever subcommand that is; a subcommand checks only
+what depends on another value.
+
 Every CSV starts with a comment line recording the SHA-256 of the canonical
 config, the seed and the package version, followed by a header row; floats carry 17 significant
 digits so reruns are byte-identical.
@@ -33,6 +38,16 @@ from .combinatorics import (
     wick_term_count,
 )
 from .kernel import WightmanKernel, accelerated, inertial
+from .oracle import (
+    MAX_ENV_DIM,
+    MAX_STRING_LENGTH,
+    REMAINDER_CONTRACTION,
+    propagator_consistency,
+    random_model,
+    random_weak_model,
+    remainder_check,
+    string_distribution,
+)
 from .response import DetectorParams, ResponseModel, q_closed_accelerated, q_closed_inertial, q_direct
 from .schedule import default_schedule
 from .strings import (
@@ -54,7 +69,7 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _emit(rows, header, args, config) -> None:
+def _emit(header, rows, args, config) -> None:
     meta = f"config_sha256={_config_hash(config)} seed={args.seed} version={__version__}"
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
@@ -92,123 +107,122 @@ def _is_real(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
-def _in_open_unit(v) -> bool:
-    return _is_real(v) and 0.0 < v < 1.0
+def _int_in(lo: int, hi: float = math.inf):
+    return lambda v: _is_int(v) and lo <= v <= hi
 
 
-def _config_value(block: dict, section: str, key: str, default, ok, expected: str):
-    """block[key] (or the default), checked before any work is done."""
-    value = block.get(key, default)
-    if not ok(value):
-        raise ConfigError(f"{section}.{key} must be {expected}, got {value!r}")
-    return value
-
-
-# every config block and its keys; ``quadrature`` is read by earlier
-# versions and is accepted and ignored
-_CONFIG_KEYS = {
-    "detector": ("omega", "lambda"),
-    "worldline": ("kind", "alpha"),
-    "schedule": ("sigma", "repetitions", "t_off_factor"),
-    "strings": ("length",),
-    "bounds": ("q", "gamma", "n_max"),
-    "bayes": ("bits", "chunk", "epsilon", "step_corrections"),
-    "oracle": ("env_dim", "length", "epsilon"),
-    "quadrature": ("qmc_points", "gl_order"),
-}
 _WORLDLINE_KINDS = ("inertial", "accelerated")
+_POSITIVE = (lambda v: _is_real(v) and v > 0, "a finite number > 0")
+_UNIT = (lambda v: _is_real(v) and 0.0 < v < 1.0, "a number in (0, 1)")
+_ANY = (lambda v: True, "anything")
+
+# _CONFIG[block][key] = (default, check, expected): every block and key of
+# the config.  A key whose default is None may also be given as null, which
+# leaves it unset.  ``quadrature`` is read by earlier versions and is
+# accepted and ignored.
+_CONFIG = {
+    "detector": {"omega": (0.2, *_POSITIVE), "lambda": (1e-2, *_POSITIVE)},
+    "worldline": {
+        "kind": ("inertial", lambda v: v in _WORLDLINE_KINDS, " or ".join(_WORLDLINE_KINDS)),
+        "alpha": (None, *_POSITIVE),
+    },
+    "schedule": {
+        "sigma": (1.0, *_POSITIVE),
+        "repetitions": (8, _int_in(1), "an integer >= 1"),
+        "t_off_factor": (10.0, *_POSITIVE),
+    },
+    "strings": {"length": (4, _int_in(1, MAX_WINDOWS), f"an integer in [1, {MAX_WINDOWS}]")},
+    "bounds": {
+        "q": (0.1, *_UNIT),
+        "gamma": (0.01, *_UNIT),
+        "n_max": (None, _int_in(1), "an integer >= 1"),
+    },
+    "bayes": {
+        "bits": (
+            None,
+            lambda v: isinstance(v, list) and len(v) > 0 and all(map(_int_in(0, 1), v)),
+            "a non-empty list of 0/1 integers",
+        ),
+        "chunk": (1, _int_in(1), "an integer >= 1"),
+        "epsilon": (0.0, lambda v: _is_real(v) and v >= 0, "a number >= 0"),
+        "step_corrections": (
+            None,
+            lambda v: isinstance(v, list) and all(map(_is_real, v)),
+            "a list of numbers",
+        ),
+    },
+    "oracle": {
+        "env_dim": (8, _int_in(1, MAX_ENV_DIM), f"an integer in [1, {MAX_ENV_DIM}]"),
+        "length": (8, _int_in(1, MAX_STRING_LENGTH), f"an integer in [1, {MAX_STRING_LENGTH}]"),
+        # above 1e-3 the O(eps^4) terms can still grow between halvings, and
+        # the remainder check fails on true models (d = 8: eps = 3e-3, 1e-2)
+        "epsilon": (1e-3, lambda v: _is_real(v) and 0 < v <= 1e-3, "a number in (0, 1e-3]"),
+    },
+    "quadrature": {"qmc_points": (None, *_ANY), "gl_order": (None, *_ANY)},
+}
 
 
-def _check_config_keys(config) -> None:
-    """The config and each of its blocks are objects with known keys only."""
+def _settings(config) -> dict:
+    """Every block of ``_CONFIG`` with its defaults filled in.
+
+    The config and each of its blocks must be objects with known keys only,
+    and every given value must pass its check; the first that does not
+    raises ConfigError.
+    """
     if not isinstance(config, dict):
         raise ConfigError(f"the config must be an object, got {config!r}")
     for section, block in config.items():
-        if section not in _CONFIG_KEYS:
-            raise ConfigError(f"{section} is not a known block ({', '.join(_CONFIG_KEYS)})")
+        if section not in _CONFIG:
+            raise ConfigError(f"{section} is not a known block ({', '.join(_CONFIG)})")
         if not isinstance(block, dict):
             raise ConfigError(f"{section} must be an object, got {block!r}")
-        keys = _CONFIG_KEYS[section]
-        for key in block:
+        keys = _CONFIG[section]
+        for key, value in block.items():
             if key not in keys:
                 raise ConfigError(f"{section}.{key} is not a known key ({', '.join(keys)})")
-
-
-def _is_positive(v) -> bool:
-    return _is_real(v) and v > 0
-
-
-def _model_config(config: dict, alpha_default: float | None = None):
-    """The detector, worldline and schedule blocks, checked before any work.
-
-    Returns (DetectorParams, worldline kind, alpha, ``default_schedule``
-    keyword arguments).  An accelerated worldline needs ``alpha`` unless a
-    default is given.
-    """
-    det, wl, sch = (config.get(section, {}) for section in ("detector", "worldline", "schedule"))
-    positive = "a finite number > 0"
-    d = DetectorParams(
-        omega=_config_value(det, "detector", "omega", 0.2, _is_positive, positive),
-        lam=_config_value(det, "detector", "lambda", 1e-2, _is_positive, positive),
-    )
-    kind = _config_value(
-        wl,
-        "worldline",
-        "kind",
-        "inertial",
-        lambda v: v in _WORLDLINE_KINDS,
-        " or ".join(_WORLDLINE_KINDS),
-    )
-    alpha = _config_value(
-        wl,
-        "worldline",
-        "alpha",
-        alpha_default,
-        lambda v: _is_positive(v) or (v is None and kind == "inertial"),
-        positive,
-    )
-    schedule = {
-        "sigma": _config_value(sch, "schedule", "sigma", 1.0, _is_positive, positive),
-        "repetitions": _config_value(
-            sch, "schedule", "repetitions", 8, lambda v: _is_int(v) and v >= 1, "an integer >= 1"
-        ),
-        "t_off_factor": _config_value(
-            sch, "schedule", "t_off_factor", 10.0, _is_positive, positive
-        ),
+            default, ok, expected = keys[key]
+            if not (ok(value) or (value is None and default is None)):
+                raise ConfigError(f"{section}.{key} must be {expected}, got {value!r}")
+    return {
+        section: {key: default for key, (default, _, _) in keys.items()} | config.get(section, {})
+        for section, keys in _CONFIG.items()
     }
-    return d, kind, alpha, schedule
 
 
-def _cmd_transition(args, config):
-    d, _, alpha, schedule = _model_config(config, alpha_default=0.1)
-    sigma = schedule["sigma"]
-    sched = default_schedule(**schedule)
-    rows = []
+def _detector(settings: dict) -> DetectorParams:
+    det = settings["detector"]
+    return DetectorParams(omega=det["omega"], lam=det["lambda"])
+
+
+def _cmd_transition(args, settings):
+    d = _detector(settings)
+    alpha = settings["worldline"]["alpha"] or 0.1
+    sigma = settings["schedule"]["sigma"]
+    sched = default_schedule(**settings["schedule"])
     qi = q_closed_inertial(d, sigma)
-    rows.append(["inertial", 0.0, "closed_form", qi.value, qi.abs_error])
     qd = q_direct(WightmanKernel(inertial()), sched, d)
-    rows.append(["inertial", 0.0, "quadrature", qd.value, qd.abs_error])
     qa = q_closed_accelerated(d, sigma, alpha)
-    rows.append(["accelerated", alpha, "closed_form", qa.value, qa.abs_error])
     qda = q_direct(WightmanKernel(accelerated(alpha)), sched, d)
-    rows.append(["accelerated", alpha, "quadrature", qda.value, qda.abs_error])
-    _emit(rows, ["worldline", "alpha", "method", "q", "abs_error"], args, config)
-    return 0
+    rows = [
+        ["inertial", 0.0, "closed_form", qi.value, qi.abs_error],
+        ["inertial", 0.0, "quadrature", qd.value, qd.abs_error],
+        ["accelerated", alpha, "closed_form", qa.value, qa.abs_error],
+        ["accelerated", alpha, "quadrature", qda.value, qda.abs_error],
+    ]
+    return ["worldline", "alpha", "method", "q", "abs_error"], rows
 
 
-def _cmd_string_probs(args, config):
-    d, kind, alpha, schedule = _model_config(config)
+def _cmd_string_probs(args, settings):
+    kind, alpha = settings["worldline"]["kind"], settings["worldline"]["alpha"]
+    if kind == "accelerated" and alpha is None:
+        raise ConfigError(f"worldline.alpha must be {_POSITIVE[1]}, got None")
+    schedule = settings["schedule"]
+    length = settings["strings"]["length"]
     cap = min(schedule["repetitions"], MAX_WINDOWS)
-    length = _config_value(
-        config.get("strings", {}),
-        "strings",
-        "length",
-        4,
-        lambda v: _is_int(v) and 1 <= v <= cap,
-        f"an integer in [1, {cap}]",
-    )
+    if length > cap:
+        raise ConfigError(f"strings.length must be an integer in [1, {cap}], got {length!r}")
     kern = WightmanKernel(accelerated(alpha) if kind == "accelerated" else inertial())
-    model = ResponseModel(kern, default_schedule(**schedule), d)
+    model = ResponseModel(kern, default_schedule(**schedule), _detector(settings))
     q = model.q
     gp = GammaProfile.from_kernel(kern, model.schedule)
     horizon = n_limit(q, gp.gamma)
@@ -232,38 +246,21 @@ def _cmd_string_probs(args, config):
                 hi,
             ]
         )
-    _emit(
-        rows,
-        [
-            "id",
-            "bits",
-            "p_born",
-            "p_rm",
-            "log_ratio_correction",
-            "abs_error",
-            "ratio_lower",
-            "ratio_upper",
-        ],
-        args,
-        config,
-    )
-    return 0
+    header = [
+        "id",
+        "bits",
+        "p_born",
+        "p_rm",
+        "log_ratio_correction",
+        "abs_error",
+        "ratio_lower",
+        "ratio_upper",
+    ]
+    return header, rows
 
 
-def _cmd_bounds(args, config):
-    block = config.get("bounds", {})
-    q = _config_value(block, "bounds", "q", 0.1, _in_open_unit, "a number in (0, 1)")
-    gamma = _config_value(
-        block, "bounds", "gamma", 0.01, _in_open_unit, "a number in (0, 1)"
-    )
-    n_max = _config_value(
-        block,
-        "bounds",
-        "n_max",
-        None,
-        lambda v: v is None or (_is_int(v) and v >= 1),
-        "an integer >= 1",
-    )
+def _cmd_bounds(args, settings):
+    q, gamma, n_max = (settings["bounds"][key] for key in ("q", "gamma", "n_max"))
     if n_max is None:
         n_max = n_limit(q, gamma) + 1
     # row n reports the bound certified before the n-th outcome, i.e. for
@@ -271,38 +268,20 @@ def _cmd_bounds(args, config):
     rows = [[1, q, q, q]]
     for n, bp in enumerate(loose_bound_scan(q, gamma, n_max - 1), start=2):
         rows.append([n, bp.lower, bp.upper, q])
-    _emit(rows, ["n", "lower", "upper", "q"], args, config)
-    return 0
+    return ["n", "lower", "upper", "q"], rows
 
 
-def _cmd_bayes(args, config):
-    block = config.get("bayes", {})
-    bits = _config_value(
-        block,
-        "bayes",
-        "bits",
-        None,
-        lambda v: isinstance(v, list)
-        and len(v) > 0
-        and all(x in (0, 1) and _is_int(x) for x in v),
-        "a non-empty list of 0/1 integers",
+def _cmd_bayes(args, settings):
+    bits, chunk, eps, steps = (
+        settings["bayes"][key] for key in ("bits", "chunk", "epsilon", "step_corrections")
     )
-    chunk = _config_value(
-        block, "bayes", "chunk", 1, lambda v: _is_int(v) and v >= 1, "an integer >= 1"
-    )
-    eps = _config_value(
-        block, "bayes", "epsilon", 0.0, lambda v: _is_real(v) and v >= 0, "a number >= 0"
-    )
+    if bits is None:
+        raise ConfigError(f"bayes.bits must be {_CONFIG['bayes']['bits'][2]}, got None")
     longest = min(chunk, len(bits))
-    steps = _config_value(
-        block,
-        "bayes",
-        "step_corrections",
-        None,
-        lambda v: v is None
-        or (isinstance(v, list) and len(v) >= longest and all(map(_is_real, v))),
-        f"a list of at least {longest} numbers",
-    )
+    if steps is not None and len(steps) < longest:
+        raise ConfigError(
+            f"bayes.step_corrections must be a list of at least {longest} numbers, got {steps!r}"
+        )
 
     def delta(qgrid, b):
         if steps is None:
@@ -319,49 +298,11 @@ def _cmd_bayes(args, config):
         [[0, prior.family_mass(1), prior.family_mass(2), prior.total_mass()]],
         ([min(i * chunk, len(bits)), *row] for i, row in enumerate(masses, start=1)),
     )
-    _emit(rows, ["observed", "mass_h1", "mass_h2", "total_mass"], args, config)
-    return 0
+    return ["observed", "mass_h1", "mass_h2", "total_mass"], rows
 
 
-def _cmd_oracle(args, config):
-    from .oracle import (
-        MAX_ENV_DIM,
-        MAX_STRING_LENGTH,
-        REMAINDER_CONTRACTION,
-        propagator_consistency,
-        random_model,
-        random_weak_model,
-        remainder_check,
-        string_distribution,
-    )
-
-    block = config.get("oracle", {})
-    d = _config_value(
-        block,
-        "oracle",
-        "env_dim",
-        8,
-        lambda v: _is_int(v) and 1 <= v <= MAX_ENV_DIM,
-        f"an integer in [1, {MAX_ENV_DIM}]",
-    )
-    length = _config_value(
-        block,
-        "oracle",
-        "length",
-        8,
-        lambda v: _is_int(v) and 1 <= v <= MAX_STRING_LENGTH,
-        f"an integer in [1, {MAX_STRING_LENGTH}]",
-    )
-    # above 1e-3 the O(eps^4) terms can still grow between halvings, and the
-    # remainder check fails on true models (d = 8: eps = 3e-3, 1e-2)
-    eps = _config_value(
-        block,
-        "oracle",
-        "epsilon",
-        1e-3,
-        lambda v: _is_real(v) and 0 < v <= 1e-3,
-        "a number in (0, 1e-3]",
-    )
+def _cmd_oracle(args, settings):
+    d, length, eps = (settings["oracle"][key] for key in ("env_dim", "length", "epsilon"))
     rows = []
     m = random_model(d, length, seed=args.seed)
     norm = sum(string_distribution(m, length).values())
@@ -371,23 +312,16 @@ def _cmd_oracle(args, config):
     rows.append(["cubic_remainder", rc.contraction, REMAINDER_CONTRACTION, rc.passed])
     dev = propagator_consistency(m, 0)
     rows.append(["propagator_consistency", dev, 1e-9, dev < 1e-9])
-    _emit(rows, ["check", "value", "threshold", "passed"], args, config)
-    return 0
+    return ["check", "value", "threshold", "passed"], rows
 
 
-def _cmd_combinatorics(args, config):
+def _cmd_combinatorics(args, settings):
     rows = []
     for k in range(2, 9):
         rows.append([k, len(restricted_partitions(k)), crossing_count(k), wick_term_count(k)])
     for p in restricted_partitions(4):
         rows.append([f"partition_{'+'.join(map(str, p.parts))}", "", partition_term_count(p), ""])
-    _emit(
-        rows,
-        ["k", "restricted_partitions", "crossing_pairings", "wick_terms"],
-        args,
-        config,
-    )
-    return 0
+    return ["k", "restricted_partitions", "crossing_pairings", "wick_terms"], rows
 
 
 _COMMANDS = {
@@ -445,8 +379,9 @@ def main(argv=None) -> int:
             print(f"{parser.prog}: config has no settings", file=sys.stderr)
             return 2
     try:
-        _check_config_keys(config)
-        return _COMMANDS[args.command](args, config)
+        header, rows = _COMMANDS[args.command](args, _settings(config))
+        _emit(header, rows, args, config)
+        return 0
     except ConfigError as exc:
         parser.print_usage(sys.stderr)
         print(f"{parser.prog}: bad config: {exc}", file=sys.stderr)

@@ -108,8 +108,8 @@ def q_closed_inertial(d: DetectorParams, sigma: float) -> ProbabilityResult:
     (lam^2 / 4 pi) [exp(-w^2 s^2) - w s Gamma(1/2, w^2 s^2)] with the upper
     incomplete gamma written through erfc.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be > 0")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be a finite number > 0, got {sigma!r}")
     x = d.omega * sigma
     bracket = math.exp(-x * x) - x * math.sqrt(math.pi) * math.erfc(x)
     value = d.lam**2 / (4.0 * math.pi) * bracket
@@ -189,8 +189,8 @@ def q_closed_accelerated(d: DetectorParams, sigma: float, alpha: float) -> Proba
     [0, 1], [1, 2], [2, 4], ... split at the peak; the range stops where
     n(y) or the Gaussian factor has fallen below exp(-64).
     """
-    if sigma <= 0 or alpha <= 0:
-        raise ValueError("sigma and alpha must be > 0")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be a finite number > 0, got {alpha!r}")
     inertial = q_closed_inertial(d, sigma)
     w = d.omega
 
@@ -497,7 +497,8 @@ class ResponseModel:
             # the same sums over entrywise |link| bound sum |class value|
             magnitude = cycle_cover_sums(k, lambda a, side, b: np.abs(link(a, side, b)))
             change = np.abs(total - prev)
-            floor = ROUNDOFF_UNITS * eps * magnitude
+            # the absolute term keeps the floor above 0 where |link| sums underflow
+            floor = ROUNDOFF_UNITS * (eps * magnitude + np.finfo(float).tiny)
             for gaps, masks in list(pending.items()):
                 first = masks[0]
                 if change[first] <= floor[first]:

@@ -182,8 +182,8 @@ def rate_report(b: BitString, q: float, w: Worldline, omega: float) -> RateRepor
     equilibrium temperature: exp(-2 pi omega / alpha) when accelerated,
     zero (no excitations survive infinite interaction) when inertial.
     """
-    if omega <= 0:
-        raise ValueError("omega must be > 0")
+    if not (math.isfinite(omega) and omega > 0):
+        raise ValueError(f"omega must be a finite number > 0, got {omega!r}")
     n = b.popcount
     if n == b.length:
         sampled = math.inf

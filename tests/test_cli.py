@@ -395,9 +395,87 @@ FULL_CONFIG = {
 
 
 def test_every_known_key_passes_the_key_check():
-    from udwrm.cli import _check_config_keys
+    from udwrm.cli import _settings
 
-    _check_config_keys(FULL_CONFIG)
+    settings = _settings(FULL_CONFIG)
+    for section, block in FULL_CONFIG.items():
+        assert settings[section] == block
+
+
+def test_every_default_passes_its_own_check():
+    from udwrm.cli import _CONFIG, _settings
+
+    defaults = _settings({})
+    for section, keys in _CONFIG.items():
+        assert defaults[section].keys() == keys.keys()
+        for key, (default, ok, _) in keys.items():
+            assert defaults[section][key] == default
+            assert default is None or ok(default), f"{section}.{key}"
+
+
+def test_null_leaves_a_key_without_a_default_unset():
+    from udwrm.cli import _settings
+
+    config = {"worldline": {"alpha": None}, "bounds": {"n_max": None}}
+    settings = _settings(config)
+    assert settings["worldline"]["alpha"] is None
+    assert settings["bounds"]["n_max"] is None
+
+
+def test_readme_config_table_matches_the_config_table():
+    from udwrm.cli import _CONFIG
+
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    rows = re.findall(r"^\| `(\w+)` \| (`.+?`) \| (.+?) \|", open(readme).read(), re.M)
+    documented = {}
+    for section, keys, default in rows:
+        for key in re.findall(r"`(\w+)`", keys):
+            documented[section, key] = default
+    assert documented.keys() == {(s, k) for s, keys in _CONFIG.items() for k in keys}
+    for (section, key), cell in documented.items():
+        default = _CONFIG[section][key][0]
+        if default is None:
+            assert cell.startswith("none"), (section, key, cell)
+        elif isinstance(default, str):
+            assert cell == f"`{default}`", (section, key, cell)
+        else:
+            assert float(cell) == default, (section, key, cell)
+
+
+# a bad value in a block that the subcommand does not read
+UNREAD_BAD_VALUES = [
+    ("transition", {"bounds": {"q": 2}}, "bounds.q"),
+    ("string-probs", {"oracle": {"env_dim": 0}}, "oracle.env_dim"),
+    ("bounds", {"oracle": {"env_dim": 0}}, "oracle.env_dim"),
+    ("bayes", {"bayes": BAYES_BLOCK, "strings": {"length": 0}}, "strings.length"),
+    ("oracle", {"detector": {"omega": -0.2}}, "detector.omega"),
+    ("combinatorics", {"bayes": {"chunk": 0}}, "bayes.chunk"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, config, named", UNREAD_BAD_VALUES, ids=[c for c, _, _ in UNREAD_BAD_VALUES]
+)
+def test_bad_value_in_an_unread_block_exits_2(
+    tmp_path, capsys, monkeypatch, command, config, named
+):
+    def no_work(*_, **__):
+        raise AssertionError("work started before the config was validated")
+
+    for name in (
+        "q_closed_inertial",
+        "q_direct",
+        "ResponseModel",
+        "loose_bound_scan",
+        "posterior_trace",
+        "random_model",
+        "restricted_partitions",
+    ):
+        monkeypatch.setattr(f"udwrm.cli.{name}", no_work)
+    code, out, err = run(capsys, command, "--config", write_config(tmp_path, config))
+    assert code == 2
+    assert f"bad config: {named} must be" in err, err
+    assert out == ""
 
 
 BAD_CONFIGS = [

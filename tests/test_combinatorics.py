@@ -26,6 +26,10 @@ def test_wick_term_count_double_factorial():
     assert wick_term_count(3) == 15
 
 
+def test_wick_term_count_is_exact_past_twenty():
+    assert wick_term_count(21) == double_factorial(41)
+
+
 def test_crossing_count_base_cases():
     assert crossing_count(0) == 1
     assert crossing_count(1) == 0

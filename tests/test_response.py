@@ -14,6 +14,7 @@ from scipy.special import erfcx, zeta
 
 import udwrm
 from udwrm import (
+    BitString,
     CorrectionModel,
     DetectorParams,
     HistoryRecord,
@@ -28,6 +29,7 @@ from udwrm import (
     q_closed_accelerated,
     q_closed_inertial,
     q_direct,
+    rate_report,
 )
 from udwrm.combinatorics import CONTRACTION_ENUM_MAX, MAX_WINDOWS
 from udwrm.response import (
@@ -71,6 +73,22 @@ def test_q_closed_accelerated_small_alpha_limit(detector):
     qi = q_closed_inertial(detector, 1.0).value
     qa = q_closed_accelerated(detector, 1.0, 1e-4).value
     assert qa == pytest.approx(qi, rel=1e-7)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("sigma", lambda d, v: q_closed_inertial(d, v)),
+        ("sigma", lambda d, v: q_closed_accelerated(d, v, 0.1)),
+        ("alpha", lambda d, v: q_closed_accelerated(d, 1.0, v)),
+        ("omega", lambda d, v: rate_report(BitString(bits=(0, 1)), 0.1, accelerated(0.1), v)),
+    ],
+    ids=["inertial-sigma", "accelerated-sigma", "accelerated-alpha", "rate_report-omega"],
+)
+def test_non_finite_input_raises_naming_the_argument(detector, name, call, value):
+    with pytest.raises(ValueError, match=f"{name} must be a finite number > 0"):
+        call(detector, value)
 
 
 def image_sum_reference(d, sigma, alpha):
@@ -401,9 +419,9 @@ def test_f_fraction_error_covers_reference(kind, gaps, full_model, full_accelera
 def test_f_fraction_error_covers_converged_reference_property(
     omega, sigma, accel, t_off_factor
 ):
-    # inertial, or alpha sigma in [1e-3 sigma, 2]: from about 2.2 on the
-    # fractions raise QuadratureError
-    alpha = None if accel is None else 1e-3 + accel * (2.0 / sigma - 1e-3)
+    # inertial, or alpha sigma in [1e-3 sigma, 3], where the fractions
+    # underflow double range from about 2.2 on
+    alpha = None if accel is None else 1e-3 + accel * (3.0 / sigma - 1e-3)
     kern = WightmanKernel(inertial() if alpha is None else accelerated(alpha))
     sched = default_schedule(sigma=sigma, repetitions=4, t_off_factor=t_off_factor)
     model = ResponseModel(kern, sched, DetectorParams(omega=omega, lam=1e-2))
@@ -414,6 +432,21 @@ def test_f_fraction_error_covers_converged_reference_property(
         assert abs(val - ref48) <= err, (gaps, val, ref48, err)
         # the reference has itself converged to within the claimed error
         assert abs(ref48 - ref32) <= err, (gaps, ref48, ref32, err)
+
+
+@pytest.mark.parametrize("omega", [0.05, 0.5, 2.0])
+def test_f_fraction_underflow_has_an_error_bar(omega):
+    # at alpha sigma = 2.2 the |link| sums underflow to 0, so only the
+    # floor's absolute term lets the resolutions agree
+    kern = WightmanKernel(accelerated(2.2))
+    sched = default_schedule(sigma=1.0, repetitions=2, t_off_factor=20.0)
+    model = ResponseModel(kern, sched, DetectorParams(omega=omega, lam=1e-2))
+    val, err = model.f_fraction((0, 1))
+    ref48 = reference_fraction(model, (0, 1), order=48)
+    ref32 = reference_fraction(model, (0, 1), order=32)
+    assert abs(val - ref48) <= err, (val, ref48, err)
+    assert abs(ref48 - ref32) <= err, (ref48, ref32, err)
+    assert 0.0 < err < 1e-290
 
 
 def class_value(model, cls, p):
