@@ -116,32 +116,33 @@ def posterior_trace(
 
     Returns the final posterior and (mass_h1, mass_h2, total_mass) after
     each update.  ``strings`` may be any iterable and is consumed once; each
-    distinct string's likelihood pair is evaluated once, and the densities
-    are updated in place on copies of the prior's arrays.
+    distinct string's likelihood pair is evaluated once, as one (2, G)
+    array, and both densities are updated in place on one stacked copy of
+    the prior's arrays: one product, one mat-vec for both masses and one
+    division per string.
     """
     w = prior._weights
-    h1, h2 = prior.h1.copy(), prior.h2.copy()
-    likelihoods: dict[BitString, tuple[np.ndarray, np.ndarray]] = {}
+    h = np.stack([prior.h1, prior.h2])
+    likelihoods: dict[BitString, np.ndarray] = {}
     masses = []
     for b in strings:
-        pair = likelihoods.get(b)
-        if pair is None:
-            pair = likelihoods[b] = _likelihoods(prior.q, b, m)
-        h1 *= pair[0]
-        h2 *= pair[1]
-        evidence = float(w @ h1 + w @ h2)
+        like = likelihoods.get(b)
+        if like is None:
+            like = likelihoods[b] = np.stack(_likelihoods(prior.q, b, m))
+        h *= like
+        mass1, mass2 = (h @ w).tolist()
+        evidence = mass1 + mass2
         if evidence <= 0.0:
             raise DegenerateEvidenceError(
                 "all hypotheses assign zero probability to the observed string"
             )
-        h1 /= evidence
-        h2 /= evidence
-        mass1, mass2 = float(w @ h1), float(w @ h2)
+        h /= evidence
+        mass1, mass2 = mass1 / evidence, mass2 / evidence
         total = mass1 + mass2
         if not abs(total - 1.0) <= MASS_TOL:
             raise ValueError(f"posterior mass {total} is not 1")
         masses.append((mass1, mass2, total))
-    return Posterior(h1, h2, grid_size=len(w)), masses
+    return Posterior(h[0], h[1], grid_size=len(w)), masses
 
 
 def update_posterior(p: Posterior, b: BitString, m: CorrectionModel) -> Posterior:

@@ -202,8 +202,10 @@ def q_closed_accelerated(d: DetectorParams, sigma: float, alpha: float) -> Proba
 
     upper = min(40.0, (w + 8.0 / sigma) / alpha)
     edges = _geometric_edges(1.0, upper)
-    if w / alpha < upper:
-        edges = np.union1d(edges, [w / alpha])
+    peak = w / alpha
+    # split the panels at the peak, unless it already is an edge
+    if peak < upper and peak not in edges:
+        edges = np.sort(np.append(edges, peak))
     thermal, err = _panel_quadrature(integrand, edges)
     scale = d.lam**2 * sigma**2 * alpha**2
     return ProbabilityResult(
@@ -213,39 +215,35 @@ def q_closed_accelerated(d: DetectorParams, sigma: float, alpha: float) -> Proba
     )
 
 
-#: Gauss-Legendre nodes of the window overlap integral at each s.
-OVERLAP_NODES = 240
-
-
 def _overlap_function(sched: RepetitionSchedule, truncated: bool):
     """Auto-correlation of the window profile: G(s) = int chi(u) chi(u-s) du,
     vectorized over s; returns (G, the largest s at which it is needed).
 
     With ``truncated`` the integral runs over window 0's interaction
-    interval [0, t_on], by one OVERLAP_NODES-point Gauss-Legendre rule per s
-    (a (len(s), OVERLAP_NODES) matrix times the weights); otherwise the
-    Gaussian's tails are kept and the overlap runs over the whole line (the
-    closed forms' convention).
+    interval [0, t_on], where the Gaussian of width sigma is cut at the
+    profile's half-width h <= t_on / 2; completing the square gives it in
+    closed form,
+
+        G(s) = sigma sqrt(pi) exp(-s^2 / 4 sigma^2) erf(max(h - s/2, 0) / sigma),
+
+    up to s = t_on.  Otherwise the Gaussian's tails are kept and the overlap
+    runs over the whole line (the closed forms' convention): the same
+    without the erf factor.
     """
-    if truncated:
-        x, wts = _gauss_legendre(OVERLAP_NODES)
-        t_on = sched.t_on
-
-        def overlap(s: np.ndarray) -> np.ndarray:
-            s = np.minimum(np.asarray(s, dtype=float), t_on)
-            half = 0.5 * (t_on - s)[..., None]
-            u = half * x + (t_on - half)
-            vals = sched.chi(u) * sched.chi(u - s[..., None])
-            return half[..., 0] * (vals @ wts)
-
-        return overlap, t_on
-
     sig = sched.profile.width
+    h = sched.profile.half_width
 
     def overlap(s: np.ndarray) -> np.ndarray:
-        return sig * math.sqrt(math.pi) * np.exp(-s * s / (4.0 * sig**2))
+        s = np.asarray(s, dtype=float)
+        full = sig * math.sqrt(math.pi) * np.exp(-s * s / (4.0 * sig**2))
+        if not truncated:
+            return full
+        # numpy has no erf: a few thousand nodes per call go through math.erf
+        cut = (np.maximum(h - 0.5 * s, 0.0) / sig).ravel()
+        erf = np.fromiter(map(math.erf, cut.tolist()), float, cut.size)
+        return full * erf.reshape(s.shape)
 
-    return overlap, 14.0 * sig
+    return overlap, sched.t_on if truncated else 14.0 * sig
 
 
 def _richardson(values: list[float]) -> tuple[float, float]:
@@ -280,9 +278,11 @@ def q_direct(
     """Single-window excitation probability by regularized quadrature.
 
     2 lam^2 int du int ds chi(u) chi(u-s) Re[exp(-i w s) W_eps(s)] over
-    window 0, reduced to one dimension through the window auto-correlation,
-    evaluated on the fixed cut-off sequence CUTOFF_START / 2^j,
-    j < CUTOFF_LEVELS, and extrapolated to zero.  Each level is a
+    window 0, reduced to one dimension through the window auto-correlation
+    G(s), for the Gaussian cut at half-width h the closed form
+    sigma sqrt(pi) exp(-s^2 / 4 sigma^2) erf(max(h - s/2, 0) / sigma)
+    (see _overlap_function), evaluated on the fixed cut-off sequence
+    CUTOFF_START / 2^j, j < CUTOFF_LEVELS, and extrapolated to zero.  Each level is a
     Gauss-Legendre panel rule on the geometric panels [0, eps], [eps, 2 eps],
     [2 eps, 4 eps], ..., which resolve the correlator's pole at s = i eps
     (see _panel_quadrature).  The error is the extrapolation spread plus
@@ -293,21 +293,10 @@ def q_direct(
     reference mode, directly comparable to the closed forms).
     """
     overlap, s_max = _overlap_function(sched, truncated)
-    known: dict[tuple[float, float], np.ndarray] = {}
-
-    def panel_overlap(s: np.ndarray) -> np.ndarray:
-        """overlap at the nodes of each panel (one row per panel), computed
-        once per panel and order: every level shares the panels past its
-        first, and a row's end nodes identify its panel."""
-        keys = [(row[0], row[-1]) for row in s]
-        new = [i for i, key in enumerate(keys) if key not in known]
-        if new:
-            known.update(zip([keys[i] for i in new], overlap(s[new])))
-        return np.stack([known[key] for key in keys])
 
     def level_value(eps: float) -> tuple[float, float]:
         def f(s: np.ndarray) -> np.ndarray:
-            return panel_overlap(s) * np.real(np.exp(-1j * d.omega * s) * kern.value(s, eps))
+            return overlap(s) * np.real(np.exp(-1j * d.omega * s) * kern.value(s, eps))
 
         value, error = _panel_quadrature(f, _geometric_edges(eps, s_max))
         return 2.0 * value, 2.0 * error

@@ -168,6 +168,32 @@ def test_trace_matches_sequential_reference(chunk, eps, steps):
     assert rows[-1][0] != rows[-1][1]
 
 
+def test_trace_matches_sequential_reference_at_tiny_likelihoods():
+    # 200-outcome strings at rate 0.1: each string's Born likelihood is
+    # below 1e-50 on most of the grid, and the final densities below 1e-250
+    def delta(q, b):
+        return 0.3 * np.cos(7.0 * q) * q**b.popcount * (1.0 - q) ** (b.length - b.popcount)
+
+    m = CorrectionModel(coupling_epsilon=0.5, delta_p=delta)
+    strings = chunked(record(seed=6, outcomes=4000), 200)
+    q = Posterior().q
+    like = [q**b.popcount * (1.0 - q) ** (b.length - b.popcount) for b in strings]
+    assert all(np.mean(row < 1e-50) > 0.5 for row in like)
+    ref_post, ref_rows = sequential_reference(Posterior(), strings, m)
+    post, rows = posterior_trace(Posterior(), strings, m)
+    assert np.mean(post.h1 < 1e-250) > 0.5 and np.mean(post.h2 < 1e-250) > 0.5
+    np.testing.assert_allclose(rows, ref_rows, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(post.h1, ref_post.h1, rtol=1e-12, atol=1e-300)
+    np.testing.assert_allclose(post.h2, ref_post.h2, rtol=1e-12, atol=1e-300)
+    assert rows[-1][0] != rows[-1][1]
+
+
+def test_nan_correction_raises_value_error():
+    m = CorrectionModel(coupling_epsilon=0.1, delta_p=lambda q, b: np.full_like(q, np.nan))
+    with pytest.raises(ValueError, match="posterior mass"):
+        posterior_trace(Posterior(), chunked(record(seed=1, outcomes=10), 2), m)
+
+
 def test_update_posterior_is_a_one_string_trace():
     m = step_model(0.2, [0.05, -0.08])
     b = BitString(bits=(1, 0))

@@ -442,6 +442,15 @@ def test_readme_config_table_matches_the_config_table():
             assert float(cell) == default, (section, key, cell)
 
 
+@pytest.mark.parametrize("command", ["transition", "string-probs", "bounds", "bayes", "oracle"])
+def test_readme_example_config_runs(tmp_path, capsys, command):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    (config,) = re.findall(r"```json\n(.*?)```", open(readme).read(), re.S)
+    cfg = write_config(tmp_path, json.loads(config))
+    code, _, err = run(capsys, command, "--config", cfg)
+    assert code == 0, err
+
+
 # a bad value in a block that the subcommand does not read
 UNREAD_BAD_VALUES = [
     ("transition", {"bounds": {"q": 2}}, "bounds.q"),

@@ -30,6 +30,7 @@ from udwrm import (
     q_closed_inertial,
     q_direct,
     rate_report,
+    truncated_gaussian,
 )
 from udwrm.combinatorics import CONTRACTION_ENUM_MAX, MAX_WINDOWS
 from udwrm.response import (
@@ -38,6 +39,8 @@ from udwrm.response import (
     CUTOFF_START,
     ROUNDOFF_UNITS,
     QuadratureError,
+    _geometric_edges,
+    _overlap_function,
     _panel_quadrature,
     _richardson,
 )
@@ -218,6 +221,46 @@ def test_q_direct_error_covers_quad_reference(alpha, truncated, schedule, detect
     r = q_direct(kern, schedule, detector, truncated=truncated)
     ref, ref_err = quad_reference(kern, schedule, detector, truncated)
     assert abs(r.value - ref) <= r.abs_error + ref_err, (r.value, ref, r.abs_error, ref_err)
+
+
+# default schedules (h = t_on / 2) and one whose window is longer than 8 sigma
+OVERLAP_SCHEDULES = {
+    "sigma0.5": default_schedule(sigma=0.5),
+    "sigma1": default_schedule(sigma=1.0),
+    "sigma2.25": default_schedule(sigma=2.25),
+    "long-window": RepetitionSchedule(
+        t_on=13.0, t_off=20.0, repetitions=2, profile=truncated_gaussian(1.0)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", OVERLAP_SCHEDULES)
+def test_truncated_overlap_matches_gauss_legendre(name):
+    """The closed-form overlap against a 240-node Gauss-Legendre integral of
+    chi(u) chi(u - s) over the interval where both factors are nonzero."""
+    sched = OVERLAP_SCHEDULES[name]
+    sig, h, t_on = sched.profile.width, sched.profile.half_width, sched.t_on
+    c = t_on / 2.0
+    x, wts = np.polynomial.legendre.leggauss(240)
+
+    def reference(s):
+        lo, hi = c - h + s, c + h
+        if hi <= lo:
+            return 0.0
+        u = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+        return 0.5 * (hi - lo) * float(np.dot(wts, sched.chi(u) * sched.chi(u - s)))
+
+    s = np.array(
+        [0.0, 1e-9, 0.3 * h, h, 1.7 * h, 2.0 * h - 1e-6 * sig, 2.0 * h,
+         2.0 * h + 0.5 * (t_on - 2.0 * h), t_on, t_on + 1.0]
+    )
+    overlap, s_max = _overlap_function(sched, truncated=True)
+    assert s_max == t_on
+    got = overlap(s)
+    assert got.shape == s.shape
+    ref = np.array([reference(v) for v in s])
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-14 * sig * math.sqrt(math.pi))
+    assert not np.any(got[s >= 2.0 * h])
 
 
 def test_panel_quadrature_raises_when_orders_run_out():
@@ -536,6 +579,57 @@ def test_import_skips_unused_module(module):
             [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
         )
         assert out.stdout.strip() == "False", entry
+
+
+NO_NUMPY_MA_SCRIPT = """
+import sys
+from udwrm import DetectorParams, q_closed_accelerated
+from udwrm.cli import main
+
+q_closed_accelerated(DetectorParams(omega=0.2, lam=0.01), 1.0, 0.1)
+after_closed_form = "numpy.ma" in sys.modules
+code = main(["transition", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(code, after_closed_form, "numpy.ma" in sys.modules)
+"""
+
+
+def test_transition_skips_numpy_ma(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"worldline": {"kind": "accelerated", "alpha": 0.1}}')
+    src = os.path.dirname(os.path.dirname(udwrm.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_MA_SCRIPT, str(cfg), str(tmp_path / "q.csv")],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert out.stdout.split() == ["0", "False", "False"], out.stderr
+
+
+@pytest.mark.parametrize("alpha", [0.1, 1.0, 5.0])
+def test_accelerated_panels_split_once_at_the_peak(alpha, detector, monkeypatch):
+    """The thermal integral's panels are the geometric edges with the peak
+    w / alpha added once (the former ``np.union1d``), so its value is the
+    same sum bit for bit; at alpha = 0.1 the peak, 2.0, is already an edge."""
+    calls = []
+
+    def recording(f, edges):
+        result = _panel_quadrature(f, edges)
+        calls.append((f, np.asarray(edges), result))
+        return result
+
+    monkeypatch.setattr(udwrm.response, "_panel_quadrature", recording)
+    q_closed_accelerated(detector, 1.0, alpha)
+    ((f, edges, result),) = calls
+    assert np.all(np.diff(edges) > 0)
+    peak = detector.omega / alpha
+    expected = _geometric_edges(1.0, edges[-1])
+    if peak < edges[-1]:
+        assert peak in edges
+        expected = np.union1d(expected, [peak])
+    np.testing.assert_array_equal(edges, expected)
+    assert _panel_quadrature(f, expected) == result
 
 
 def test_strong_coupling_warns(inertial_kernel, schedule):
