@@ -21,6 +21,10 @@ from .strings import BitString, born_string_prob
 GRID_SIZE = 1024
 # a posterior whose trapezoid mass is further than this from 1 is rejected
 MASS_TOL = 1e-9
+# ``posterior_trace`` divides its densities by their running mass only when
+# the mass leaves [MASS_LOW, MASS_HIGH], far from under- and overflow
+MASS_LOW = 1e-8
+MASS_HIGH = 1e8
 
 
 class DegenerateEvidenceError(RuntimeError):
@@ -117,14 +121,17 @@ def posterior_trace(
     Returns the final posterior and (mass_h1, mass_h2, total_mass) after
     each update.  ``strings`` may be any iterable and is consumed once; each
     distinct string's likelihood pair is evaluated once, as one (2, G)
-    array, and both densities are updated in place on one stacked copy of
-    the prior's arrays: one product, one mat-vec for both masses and one
-    division per string.
+    array.  Both densities are kept unnormalized on one stacked copy of the
+    prior's arrays: per string, one in-place product and one mat-vec for
+    both masses u, reported as u / sum(u).  The densities are divided by
+    their mass only when it leaves [MASS_LOW, MASS_HIGH], and once at the
+    end.
     """
     w = prior._weights
     h = np.stack([prior.h1, prior.h2])
     likelihoods: dict[BitString, np.ndarray] = {}
     masses = []
+    evidence = 1.0  # trapezoid mass of h
     for b in strings:
         like = likelihoods.get(b)
         if like is None:
@@ -136,12 +143,15 @@ def posterior_trace(
             raise DegenerateEvidenceError(
                 "all hypotheses assign zero probability to the observed string"
             )
-        h /= evidence
         mass1, mass2 = mass1 / evidence, mass2 / evidence
         total = mass1 + mass2
         if not abs(total - 1.0) <= MASS_TOL:
             raise ValueError(f"posterior mass {total} is not 1")
         masses.append((mass1, mass2, total))
+        if not MASS_LOW <= evidence <= MASS_HIGH:
+            h /= evidence
+            evidence = 1.0
+    h /= evidence
     return Posterior(h[0], h[1], grid_size=len(w)), masses
 
 
@@ -180,18 +190,19 @@ def delta_p_first_order(q, step_corrections, b: BitString):
 
     ``step_corrections[j]`` is the first-order correction to the probability
     of the outcome actually recorded at step j.  Accepts scalar or gridded q.
+    One pass over the steps keeps the product of the Born factors so far and
+    the sum of the terms so far (the product rule), with no division, so
+    q = 0 and 1 stay exact.
     """
     if len(step_corrections) != b.length:
         raise ValueError(
             f"{len(step_corrections)} step corrections for {b.length} bits"
         )
     q_arr = np.asarray(q, dtype=float)
-    p_bit = [q_arr if bit == 1 else 1.0 - q_arr for bit in b.bits]
+    factors = (1.0 - q_arr, q_arr)
+    prefix = np.ones_like(q_arr)
     total = np.zeros_like(q_arr)
-    for j in range(b.length):
-        prod = np.ones_like(q_arr) * step_corrections[j]
-        for j2 in range(b.length):
-            if j2 != j:
-                prod = prod * p_bit[j2]
-        total = total + prod
+    for bit, correction in zip(b.bits, step_corrections):
+        total = total * factors[bit] + correction * prefix
+        prefix = prefix * factors[bit]
     return total if total.shape else float(total)

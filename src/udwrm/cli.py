@@ -18,11 +18,12 @@ digits so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import hashlib
 import itertools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -59,9 +60,24 @@ from .strings import (
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".16e")
-    return str(x)
+    return "%.16e" % x if isinstance(x, float) else str(x)
+
+
+# a field holding one of these is quoted, as csv.writer's default dialect does
+_CSV_QUOTED = re.compile('[,"\r\n]')
+
+
+def _csv_field(x) -> str:
+    s = _fmt(x)
+    return '"' + s.replace('"', '""') + '"' if _CSV_QUOTED.search(s) else s
+
+
+def _csv_line(row) -> str:
+    """One record as csv.writer (excel dialect) writes the row's _fmt
+    strings, built with one join."""
+    line = ",".join(map(_csv_field, row))
+    # csv.writer writes a lone empty field as "", not as a blank line
+    return ('""' if line == "" and len(row) == 1 else line) + "\r\n"
 
 
 def _config_hash(config: dict) -> str:
@@ -75,10 +91,7 @@ def _emit(header, rows, args, config) -> None:
     try:
         if args.format == "csv":
             out.write(f"# {meta}\n")
-            writer = csv.writer(out)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
+            out.writelines(map(_csv_line, itertools.chain([header], rows)))
         else:
             json.dump(
                 {
@@ -290,9 +303,8 @@ def _cmd_bayes(args, settings):
 
     m = CorrectionModel(coupling_epsilon=eps, delta_p=delta)
     prior = Posterior()
-    chunks = (
-        BitString(bits=tuple(bits[i : i + chunk])) for i in range(0, len(bits), chunk)
-    )
+    bit_string = functools.cache(lambda c: BitString(bits=c))  # one per distinct chunk
+    chunks = (bit_string(tuple(bits[i : i + chunk])) for i in range(0, len(bits), chunk))
     _, masses = posterior_trace(prior, chunks, m)
     rows = itertools.chain(
         [[0, prior.family_mass(1), prior.family_mass(2), prior.total_mass()]],

@@ -28,8 +28,12 @@ HERMITICITY_TOL = 1e-12
 UNITARITY_TOL = 1e-10
 # children's probabilities must sum to their branch's, relative to it
 BRANCH_TOL = 1e-12
-# complex amplitudes evolved per batch of branches in the measurement tree
-TREE_BLOCK = 1 << 18
+# complex amplitudes evolved per batch of branches in the measurement tree.
+# It bounds the memory of a batch and the size of each (branches, d) @ (d, 2d)
+# product: at d = 8, at most (256, 8) @ (8, 16), below the size where
+# OpenBLAS hands a product to its thread pool, whose start-up costs more than
+# the product and whose spinning worker slows whatever runs next
+TREE_BLOCK = 1 << 11
 # Runge-Kutta steps of the propagator check: the first run, and the cap;
 # the steps halve until two runs agree entrywise to RK_TOL
 RK_STEPS = 16
@@ -215,7 +219,7 @@ def _children(m: FiniteRmModel, k: int, amps: np.ndarray, probs: np.ndarray):
     outcome-b child is row 2r + b of the result."""
     child = (amps @ m._step_columns[k].T).reshape(-1, m.env_dim)
     child_probs = np.sum(np.abs(child) ** 2, axis=1)
-    total = child_probs.reshape(-1, 2).sum(axis=1)
+    total = child_probs[0::2] + child_probs[1::2]
     if np.any(np.abs(total - probs) > BRANCH_TOL * probs):
         raise ModelError(f"step {k} outcome probabilities do not sum to their branch's")
     return child, child_probs

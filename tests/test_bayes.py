@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -13,6 +14,7 @@ from udwrm import (
     posterior_trace,
     update_posterior,
 )
+from udwrm.bayes import MASS_HIGH, MASS_LOW
 
 
 def zero_delta(q, b):
@@ -96,6 +98,38 @@ def test_delta_p_first_order_scalar_and_grid():
     grid = np.linspace(0.05, 0.2, 5)
     out = delta_p_first_order(grid, steps, b)
     assert out.shape == grid.shape
+
+
+def delta_p_term_by_term(q, steps, b):
+    """The first-order correction as its definition reads: each step's
+    correction times the Born product over every other step."""
+    q = np.asarray(q, dtype=float)
+    total = np.zeros_like(q)
+    for j, correction in enumerate(steps):
+        term = np.full_like(q, correction)
+        for j2, bit in enumerate(b.bits):
+            if j2 != j:
+                term = term * (q if bit else 1.0 - q)
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("length", [1, 2, 7, 50, 200])
+def test_delta_p_first_order_matches_the_term_by_term_sum(length):
+    rng = random.Random(length)
+    q = Posterior().q
+    for _ in range(3):
+        b = BitString(bits=tuple(int(rng.random() < 0.3) for _ in range(length)))
+        steps = [rng.uniform(-1e-2, 1e-2) for _ in range(length)]
+        # the sums differ in rounding only: within 1e-14 of the summed
+        # magnitudes of their terms (9.5e-16 measured at these lengths), or
+        # 1e-300 where the terms near the subnormal range
+        scale = delta_p_term_by_term(q, [abs(c) for c in steps], b)
+        err = np.abs(delta_p_first_order(q, steps, b) - delta_p_term_by_term(q, steps, b))
+        assert np.all(err <= 1e-14 * scale + 1e-300)
+        for q0 in (0.0, 1.0):
+            exact = float(delta_p_term_by_term(q0, steps, b))
+            assert delta_p_first_order(q0, steps, b) == exact
 
 
 def test_delta_p_first_order_length_mismatch():
@@ -186,6 +220,48 @@ def test_trace_matches_sequential_reference_at_tiny_likelihoods():
     np.testing.assert_allclose(post.h1, ref_post.h1, rtol=1e-12, atol=1e-300)
     np.testing.assert_allclose(post.h2, ref_post.h2, rtol=1e-12, atol=1e-300)
     assert rows[-1][0] != rows[-1][1]
+
+
+def test_trace_matches_sequential_reference_when_the_mass_falls_below_its_floor():
+    # a prior near q = 0 and a run of ones: each one has evidence near the
+    # prior mean of q, so the undivided mass falls below MASS_LOW.  Every
+    # prior entry is a normal double: an entry grown from a subnormal one
+    # (at (1 - q)^199, say) is off by up to 1e-5 in the reference and in the
+    # trace alike
+    q = Posterior().q
+    density = (1.0 - q) ** 99
+    density /= np.trapezoid(density, q)
+    assert density[-2] > np.finfo(float).tiny
+    prior = Posterior(h1=0.5 * density, h2=0.5 * density)
+    strings = chunked([1] * 30, 1)
+    assert np.trapezoid(density * q ** len(strings), q) < 1e-6 * MASS_LOW
+    m = step_model(1e-3, [1e-3])
+    ref_post, ref_rows = sequential_reference(prior, strings, m)
+    post, rows = posterior_trace(prior, strings, m)
+    np.testing.assert_allclose(rows, ref_rows, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(post.h1, ref_post.h1, rtol=1e-12, atol=1e-300)
+    np.testing.assert_allclose(post.h2, ref_post.h2, rtol=1e-12, atol=1e-300)
+    assert rows[-1][0] != rows[-1][1]
+
+
+def test_trace_matches_sequential_reference_when_the_mass_rises_above_its_ceiling():
+    # a correction that lifts the corrected family's likelihood above 20 on
+    # every string, so its undivided mass grows past MASS_HIGH, and would
+    # overflow by the end of the record.  The Born family starts at zero, as
+    # any mass it had would fall below the double range first
+    boost = 20.0
+    m = CorrectionModel(coupling_epsilon=1.0, delta_p=lambda q, b: np.full_like(q, boost))
+    strings = chunked(record(seed=8, outcomes=300), 1)
+    assert 0.5 * boost**10 > MASS_HIGH
+    assert len(strings) * math.log(boost) > math.log(np.finfo(float).max)
+    grid = Posterior().q.size
+    prior = Posterior(h1=np.zeros(grid), h2=np.ones(grid))
+    ref_post, ref_rows = sequential_reference(prior, strings, m)
+    post, rows = posterior_trace(prior, strings, m)
+    np.testing.assert_allclose(rows, ref_rows, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(post.h1, ref_post.h1, rtol=1e-12, atol=1e-300)
+    np.testing.assert_allclose(post.h2, ref_post.h2, rtol=1e-12, atol=1e-300)
+    assert not np.any(post.h1)
 
 
 def test_nan_correction_raises_value_error():

@@ -1,12 +1,17 @@
+import csv
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import udwrm
+from udwrm import cli
 from udwrm.cli import main
 
 
@@ -119,6 +124,28 @@ def test_bayes_trace(tmp_path, capsys):
     assert len(rows) == 3  # prior + two chunks
     final = rows[-1].split(",")
     assert float(final[3]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_csv_rows_match_csv_writer(tmp_path):
+    header = ["float", "numpy", "int", "bool"]
+    rows = [
+        [0.1, np.float64(1.0 / 3.0), 7, True],
+        [-0.0, np.float64("nan"), float("inf"), np.float64("-inf")],
+        [1e-310, np.float64(2.5e300), -(10**20), False],
+        ["", 'a, "quoted"\nline', "a\rb", "plain"],
+        [""],
+        [],
+    ]
+    path = tmp_path / "table.csv"
+    cli._emit(header, iter(rows), SimpleNamespace(out=str(path), format="csv", seed=0), {})
+    meta, _, table = path.read_bytes().partition(b"\n")
+    assert meta.startswith(b"# config_sha256=")
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    for row in [header, *rows]:
+        writer.writerow([format(v, ".16e") if isinstance(v, float) else str(v) for v in row])
+    assert table == buf.getvalue().encode()
+    assert b'"a, ""quoted""\nline","a\rb"' in table
 
 
 def test_oracle_checks_pass(tmp_path, capsys):

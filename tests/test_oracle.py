@@ -19,6 +19,7 @@ from udwrm import (
     remainder_check,
     string_distribution,
 )
+from udwrm import oracle
 from udwrm.oracle import FiniteRmModel, TrajectoryState, step_distribution
 
 
@@ -204,6 +205,35 @@ def test_string_distribution_batches_agree(monkeypatch):
     assert list(batched) == list(whole)
     for v, p in whole.items():
         assert batched[v] == pytest.approx(p, abs=1e-15)
+
+
+@pytest.mark.parametrize("env_dim, length", [(8, 11), (64, 8)])
+def test_default_batches_agree_with_one_batch(monkeypatch, env_dim, length):
+    m = random_model(env_dim=env_dim, steps=length, seed=18)
+    batched = string_distribution(m, length)
+    monkeypatch.setattr("udwrm.oracle.TREE_BLOCK", 1 << 30)
+    whole = string_distribution(m, length)
+    assert list(batched) == list(whole)
+    np.testing.assert_allclose(list(batched.values()), list(whole.values()), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("env_dim, length", [(8, 11), (64, 8)])
+def test_tree_products_stay_within_tree_block(monkeypatch, env_dim, length):
+    # a larger product can wake the BLAS thread pool, which costs more than
+    # the product itself
+    sizes = []
+    children = oracle._children
+
+    def counted(m, k, amps, probs):
+        sizes.append(amps.size)
+        return children(m, k, amps, probs)
+
+    monkeypatch.setattr(oracle, "_children", counted)
+    probs = string_distribution(random_model(env_dim=env_dim, steps=length, seed=19), length)
+    assert len(probs) == 1 << length
+    assert max(sizes) <= oracle.TREE_BLOCK
+    # every step runs in batches, and the last steps in more than one
+    assert len(sizes) > length
 
 
 class LeakyModel(FiniteRmModel):
