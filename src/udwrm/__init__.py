@@ -70,12 +70,7 @@ from .response import (
     q_closed_inertial,
     q_direct,
 )
-from .schedule import (
-    RepetitionSchedule,
-    SwitchingProfile,
-    default_schedule,
-    truncated_gaussian,
-)
+from .schedule import RepetitionSchedule, default_schedule
 from .strings import (
     BitString,
     RateReport,
@@ -110,7 +105,6 @@ __all__ = [
     "ResponseModel",
     "RestrictedPartition",
     "StringProbability",
-    "SwitchingProfile",
     "WightmanKernel",
     "Worldline",
     "accelerated",
@@ -147,7 +141,6 @@ __all__ = [
     "rm_string_table",
     "string_distribution",
     "tight_bounds",
-    "truncated_gaussian",
     "unruh_temperature",
     "update_posterior",
     "wick_term_count",

@@ -86,9 +86,10 @@ class Posterior:
         self.h2 = np.asarray(h2, dtype=float)
         if self.h1.shape != self.q.shape or self.h2.shape != self.q.shape:
             raise ValueError("density arrays must match the grid")
-        if np.any(self.h1 < 0) or np.any(self.h2 < 0):
-            raise ValueError("densities must be non-negative")
-        if abs(self.total_mass() - 1.0) > MASS_TOL:
+        for name, h in (("h1", self.h1), ("h2", self.h2)):
+            if not (np.all(np.isfinite(h)) and np.all(h >= 0)):
+                raise ValueError(f"{name} must be finite and non-negative")
+        if not abs(self.total_mass() - 1.0) <= MASS_TOL:
             raise ValueError(f"posterior mass {self.total_mass()} is not 1")
 
     def total_mass(self) -> float:

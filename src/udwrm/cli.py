@@ -237,16 +237,25 @@ def _cmd_string_probs(args, settings):
     kern = WightmanKernel(accelerated(alpha) if kind == "accelerated" else inertial())
     model = ResponseModel(kern, default_schedule(**schedule), _detector(settings))
     q = model.q
-    gp = GammaProfile.from_kernel(kern, model.schedule)
-    horizon = n_limit(q, gp.gamma)
-    ub = loose_bounds(min(length, horizon - 1), q, gp.gamma)
-    eps_dev = ub.upper / q - 1.0
-    delta_dev = 1.0 - ub.lower / q
-    ratio = q / (1.0 - q)
+    try:
+        gamma = GammaProfile.from_kernel(kern, model.schedule).gamma
+    except ValueError:
+        # T_off <= T_on: adjacent windows correlate at least as strongly as
+        # one window with itself (gamma >= 1), so no loose bound exists
+        def bounds(b):
+            return math.nan, math.nan
+    else:
+        ub = loose_bounds(min(length, n_limit(q, gamma) - 1), q, gamma)
+        bounds = functools.partial(
+            ratio_bounds,
+            upper_eps=ub.upper / q - 1.0,
+            lower_delta=1.0 - ub.lower / q,
+            excitation_ratio=q / (1.0 - q),
+        )
     rows = []
     for v, sp in enumerate(rm_string_table(length, model)):
         b = BitString.from_int(v, length)
-        lo, hi = ratio_bounds(b, eps_dev, delta_dev, ratio)
+        lo, hi = bounds(b)
         rows.append(
             [
                 v,
@@ -317,7 +326,7 @@ def _cmd_oracle(args, settings):
     d, length, eps = (settings["oracle"][key] for key in ("env_dim", "length", "epsilon"))
     rows = []
     m = random_model(d, length, seed=args.seed)
-    norm = sum(string_distribution(m, length).values())
+    norm = sum(string_distribution(m, length).tolist())
     rows.append(["tree_normalization", abs(norm - 1.0), 1e-10, abs(norm - 1.0) < 1e-10])
     mw = random_weak_model(d, 2, epsilon=eps, seed=args.seed)
     rc = remainder_check(mw, 0, mw.env_initial, eps)

@@ -53,16 +53,18 @@ class ModelError(ValueError):
     """The model data violate a structural invariant."""
 
 
+# every tolerance check below is written ``not (err <= tol)``, so that a
+# NaN error, which compares False with anything, fails it
 def _check_hermitian(h: np.ndarray, what: str) -> None:
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ModelError(f"{what} is not square")
-    if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL * max(1.0, np.max(np.abs(h))):
-        raise ModelError(f"{what} is not hermitian")
+    if not np.max(np.abs(h - h.conj().T)) <= HERMITICITY_TOL * max(1.0, np.max(np.abs(h))):
+        raise ModelError(f"{what} is not a finite hermitian matrix")
 
 
 def _check_unitary(u: np.ndarray, what: str, tol: float = UNITARITY_TOL) -> None:
     eye = np.eye(u.shape[0])
-    if np.max(np.abs(u.conj().T @ u - eye)) > tol:
+    if not np.max(np.abs(u.conj().T @ u - eye)) <= tol:
         raise ModelError(f"{what} is not unitary")
 
 
@@ -113,8 +115,8 @@ class FiniteRmModel:
     def __post_init__(self) -> None:
         if not 1 <= self.env_dim <= MAX_ENV_DIM:
             raise ModelError(f"environment dimension must be in [1, {MAX_ENV_DIM}]")
-        if not self.epsilon >= 0:
-            raise ModelError("epsilon must be >= 0")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ModelError(f"epsilon must be a finite number >= 0, got {self.epsilon!r}")
         for k, g in enumerate(self.generators):
             if g.shape != (2 * self.env_dim, 2 * self.env_dim):
                 raise ModelError(f"generator {k} has wrong dimension")
@@ -122,8 +124,8 @@ class FiniteRmModel:
         if self.u_detector.shape != (2, 2):
             raise ModelError("detector unitary is not 2 x 2")
         _check_unitary(self.u_detector, "detector unitary")
-        if abs(np.linalg.norm(self.env_initial) - 1.0) > 1e-12:
-            raise ModelError("initial environment state must be normalized")
+        if not abs(np.linalg.norm(self.env_initial) - 1.0) <= 1e-12:
+            raise ModelError("env_initial must be a finite normalized vector")
 
     @property
     def env_dim(self) -> int:
@@ -174,7 +176,7 @@ class TrajectoryState:
     probability: float = 1.0
 
     def __post_init__(self) -> None:
-        if abs(np.linalg.norm(self.env) - 1.0) > 1e-10:
+        if not abs(np.linalg.norm(self.env) - 1.0) <= 1e-10:
             raise ModelError("trajectory environment state must be normalized")
 
 
@@ -190,7 +192,7 @@ def step_distribution(m: FiniteRmModel, t: TrajectoryState, k: int):
     psi = u @ np.kron(np.array([1.0, 0.0]), t.env)
     blocks = psi.reshape(2, d)
     probs = [float(np.sum(np.abs(blocks[b]) ** 2)) for b in (0, 1)]
-    if abs(probs[0] + probs[1] - 1.0) > 1e-12:
+    if not abs(probs[0] + probs[1] - 1.0) <= 1e-12:
         raise ModelError(f"step {k} outcome probabilities sum to {sum(probs)}")
     states = []
     for b in (0, 1):
@@ -207,6 +209,8 @@ def step_distribution(m: FiniteRmModel, t: TrajectoryState, k: int):
 
 
 def _check_length(m: FiniteRmModel, length: int) -> None:
+    if length < 1:
+        raise ModelError(f"string length must be >= 1, got {length}")
     if length > m.steps:
         raise ModelError(f"string of length {length} exceeds {m.steps} steps")
     if length > MAX_STRING_LENGTH:
@@ -220,7 +224,7 @@ def _children(m: FiniteRmModel, k: int, amps: np.ndarray, probs: np.ndarray):
     child = (amps @ m._step_columns[k].T).reshape(-1, m.env_dim)
     child_probs = np.sum(np.abs(child) ** 2, axis=1)
     total = child_probs[0::2] + child_probs[1::2]
-    if np.any(np.abs(total - probs) > BRANCH_TOL * probs):
+    if not np.all(np.abs(total - probs) <= BRANCH_TOL * probs):
         raise ModelError(f"step {k} outcome probabilities do not sum to their branch's")
     return child, child_probs
 
@@ -257,14 +261,15 @@ def exact_string_prob(m: FiniteRmModel, b: BitString) -> float:
     return float(probs[0])
 
 
-def string_distribution(m: FiniteRmModel, length: int) -> dict[int, float]:
-    """Probabilities of every outcome string of the given length, keyed by
-    their ``BitString.from_int`` value (first outcome most significant).
+def string_distribution(m: FiniteRmModel, length: int) -> np.ndarray:
+    """Probabilities of every outcome string of the given length, as an
+    array of 2^length floats indexed by ``BitString.to_int`` (first outcome
+    most significant).
 
     The measurement tree is evolved breadth-first as a (2^k, d) array of
     branch amplitudes, so each step is one matrix product."""
     _check_length(m, length)
-    return dict(enumerate(_leaf_probabilities(m, 0, length, *_root(m)).tolist()))
+    return _leaf_probabilities(m, 0, length, *_root(m))
 
 
 def perturbative_corrections(m: FiniteRmModel, k: int, env: np.ndarray):

@@ -220,9 +220,9 @@ def _overlap_function(sched: RepetitionSchedule, truncated: bool):
     vectorized over s; returns (G, the largest s at which it is needed).
 
     With ``truncated`` the integral runs over window 0's interaction
-    interval [0, t_on], where the Gaussian of width sigma is cut at the
-    profile's half-width h <= t_on / 2; completing the square gives it in
-    closed form,
+    interval [0, t_on], where the Gaussian of width sigma is cut at
+    h = 4 sigma = t_on / 2, the window's half-length; completing the square
+    gives it in closed form,
 
         G(s) = sigma sqrt(pi) exp(-s^2 / 4 sigma^2) erf(max(h - s/2, 0) / sigma),
 
@@ -230,8 +230,8 @@ def _overlap_function(sched: RepetitionSchedule, truncated: bool):
     runs over the whole line (the closed forms' convention): the same
     without the erf factor.
     """
-    sig = sched.profile.width
-    h = sched.profile.half_width
+    sig = sched.sigma
+    h = 4.0 * sig
 
     def overlap(s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
@@ -279,7 +279,7 @@ def q_direct(
 
     2 lam^2 int du int ds chi(u) chi(u-s) Re[exp(-i w s) W_eps(s)] over
     window 0, reduced to one dimension through the window auto-correlation
-    G(s), for the Gaussian cut at half-width h the closed form
+    G(s), for the Gaussian cut at h = 4 sigma the closed form
     sigma sqrt(pi) exp(-s^2 / 4 sigma^2) erf(max(h - s/2, 0) / sigma)
     (see _overlap_function), evaluated on the fixed cut-off sequence
     CUTOFF_START / 2^j, j < CUTOFF_LEVELS, and extrapolated to zero.  Each level is a
@@ -321,7 +321,7 @@ def calQ(kern: WightmanKernel, sched: RepetitionSchedule, d: DetectorParams) -> 
     Gaussian closed forms: the normalisation of every correction fraction,
     and the convention under which all published reference numbers are
     produced."""
-    sigma = sched.profile.width
+    sigma = sched.sigma
     if kern.worldline.kind == "inertial":
         q = q_closed_inertial(d, sigma)
     else:

@@ -1,16 +1,18 @@
-"""Switching profiles and the repetition-interval grid.
+"""The repetition-interval grid.
 
-A repetition interval of length T = T_on + T_off starts with an interaction
-window [kT, kT + T_on] carrying one copy of the switching profile, a
-Gaussian cut at 4 sigma, followed by a measurement window with the coupling
-off.  The profile peaks at 1 in the middle of its window and vanishes
-identically outside it.
+Three numbers fix it: the Gaussian switching width sigma, the number of
+windows, and t_off_factor.  A repetition interval of length
+T = T_on + t_off_factor T_on starts with an interaction window
+[kT, kT + T_on] of length T_on = 8 sigma, carrying one copy of the switching
+profile, a Gaussian cut at 4 sigma, followed by a measurement window with
+the coupling off.  The profile peaks at 1 in the middle of its window and
+vanishes at and beyond the window's ends.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,43 +23,16 @@ def is_integer(n) -> bool:
 
 
 @dataclass(frozen=True)
-class SwitchingProfile:
-    """Interaction envelope: a Gaussian of standard deviation ``width``,
-    cut at its declared support half-width of 4 sigma."""
-
-    width: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.width) and self.width > 0):
-            raise ValueError(f"profile width must be a finite number > 0, got {self.width!r}")
-
-    @property
-    def half_width(self) -> float:
-        return 4.0 * self.width
-
-    def value(self, x):
-        """Profile at offset x from the window center, truncated to support."""
-        x = np.asarray(x, dtype=float)
-        inside = np.abs(x) < self.half_width
-        out = np.where(inside, np.exp(-(x * x) / (2.0 * self.width**2)), 0.0)
-        return out if out.ndim else float(out)
-
-
-def truncated_gaussian(sigma: float) -> SwitchingProfile:
-    return SwitchingProfile(sigma)
-
-
-@dataclass(frozen=True)
 class RepetitionSchedule:
-    """Grid of interaction/measurement windows with a common profile."""
+    """Grid of interaction/measurement windows, each window switched by a
+    Gaussian of standard deviation ``sigma`` cut at 4 sigma."""
 
-    t_on: float
-    t_off: float
+    sigma: float
     repetitions: int
-    profile: SwitchingProfile = field(default_factory=lambda: truncated_gaussian(1.0))
+    t_off_factor: float
 
     def __post_init__(self) -> None:
-        for name in ("t_on", "t_off"):
+        for name in ("sigma", "t_off_factor"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
@@ -65,12 +40,17 @@ class RepetitionSchedule:
             raise ValueError(f"repetitions must be an integer, got {self.repetitions!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if self.profile.half_width > self.t_on / 2 + 1e-12:
-            raise ValueError("profile support does not fit the interaction window")
+
+    @property
+    def t_on(self) -> float:
+        """Interaction window length, 8 sigma: the cut Gaussian's support."""
+        return 8.0 * self.sigma
 
     @property
     def t(self) -> float:
-        return self.t_on + self.t_off
+        """Repetition period T_on + T_off, T_off = t_off_factor T_on."""
+        t_on = self.t_on
+        return t_on + self.t_off_factor * t_on
 
     def interaction_interval(self, k: int) -> tuple[float, float]:
         return (k * self.t, k * self.t + self.t_on)
@@ -81,26 +61,25 @@ class RepetitionSchedule:
     def chi(self, tau):
         """Repeated switching function: k-th profile inside window k, else 0."""
         tau = np.asarray(tau, dtype=float)
-        k = np.floor(tau / self.t)
-        local = tau - k * self.t
+        t = self.t
+        k = np.floor(tau / t)
+        local = tau - k * t
         in_grid = (k >= 0) & (k < self.repetitions)
         on = in_grid & (local >= 0.0) & (local <= self.t_on)
-        out = np.where(on, self.profile.value(local - self.t_on / 2.0), 0.0)
+        out = np.where(on, self.chi_window(local), 0.0)
         return out if out.ndim else float(out)
 
     def chi_window(self, x):
-        """Profile in window-local coordinates x in [0, t_on]."""
-        return self.profile.value(np.asarray(x, dtype=float) - self.t_on / 2.0)
+        """Profile in window-local coordinates x in [0, t_on]: the Gaussian
+        exp(-y^2 / 2 sigma^2) at y = x - t_on / 2, zero where |y| >= 4 sigma."""
+        y = np.asarray(x, dtype=float) - self.t_on / 2.0
+        inside = np.abs(y) < 4.0 * self.sigma
+        out = np.where(inside, np.exp(-(y * y) / (2.0 * self.sigma**2)), 0.0)
+        return out if out.ndim else float(out)
 
 
 def default_schedule(
     sigma: float = 1.0, repetitions: int = 8, t_off_factor: float = 10.0
 ) -> RepetitionSchedule:
     """T_on = 8 sigma and T_off = 10 T_on unless told otherwise."""
-    t_on = 8.0 * sigma
-    return RepetitionSchedule(
-        t_on=t_on,
-        t_off=t_off_factor * t_on,
-        repetitions=repetitions,
-        profile=truncated_gaussian(sigma),
-    )
+    return RepetitionSchedule(sigma, repetitions, t_off_factor)

@@ -161,7 +161,7 @@ def test_criterion_08b_accelerated_adjacent_ordering(full_accelerated_model):
 
 def test_criterion_09_oracle_suite():
     m = random_model(env_dim=8, steps=10, seed=0)
-    total = sum(string_distribution(m, 10).values())
+    total = string_distribution(m, 10).sum()
     assert abs(total - 1.0) < 1e-10
 
     for seed in range(10):

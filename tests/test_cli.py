@@ -170,6 +170,42 @@ def test_string_probs_csv(tmp_path, capsys):
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "worldline, t_off_factor, loose",
+    [
+        ({"kind": "accelerated", "alpha": 0.1}, 1.0, False),
+        ({"kind": "inertial"}, 0.5, False),
+        ({"kind": "accelerated", "alpha": 0.1}, 0.1, False),
+        ({"kind": "inertial"}, 1.5, True),
+    ],
+    ids=["accelerated-1", "inertial-0.5", "accelerated-0.1", "inertial-1.5"],
+)
+def test_string_probs_without_loose_bounds_writes_nan(
+    tmp_path, capsys, worldline, t_off_factor, loose
+):
+    # with T_off <= T_on the adjacent-window ratio gamma is >= 1 and no loose
+    # bound exists; the table is still written, with nan ratio bounds
+    cfg = write_config(
+        tmp_path,
+        {
+            "worldline": worldline,
+            "schedule": {"t_off_factor": t_off_factor},
+            "strings": {"length": 3},
+        },
+    )
+    code, out, err = run(capsys, "string-probs", "--config", cfg)
+    assert code == 0, err
+    rows = list(csv.DictReader(out.splitlines()[1:]))
+    assert len(rows) == 8
+    assert sum(float(r["p_rm"]) for r in rows) == pytest.approx(1.0, abs=1e-9)
+    for r in rows:
+        lower, upper = float(r["ratio_lower"]), float(r["ratio_upper"])
+        if loose:
+            assert 0.0 < lower <= 1.0 <= upper
+        else:
+            assert r["ratio_lower"] == r["ratio_upper"] == "nan"
+
+
 def test_jobs_flag_is_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, {"bounds": {"q": 0.1, "gamma": 0.01}})
     with pytest.raises(SystemExit) as exc:
@@ -402,10 +438,7 @@ def test_transition_builds_the_configured_schedule(tmp_path, capsys, monkeypatch
     )
     assert code == 0, err
     assert len(schedules) == 2
-    for sched in schedules:
-        assert sched.repetitions == 3
-        assert sched.t_on == 8.0 * 0.5
-        assert sched.t_off == 4.0 * sched.t_on
+    assert schedules == [udwrm.RepetitionSchedule(0.5, 3, 4.0)] * 2
 
 
 # the CI config, plus the quadrature block the benchmark sends

@@ -10,7 +10,7 @@ from udwrm.kernel import (
     inertial,
     unruh_temperature,
 )
-from udwrm.schedule import default_schedule, truncated_gaussian
+from udwrm.schedule import RepetitionSchedule, default_schedule
 
 
 def test_inertial_limit_closed_form():
@@ -59,20 +59,32 @@ def test_kernel_limit_vectorized():
 
 
 def test_switching_profile_normalization_and_support():
-    p = truncated_gaussian(1.0)
-    assert p.value(0.0) == pytest.approx(1.0)
-    assert p.value(p.half_width + 0.1) == 0.0
-    assert p.value(-p.half_width - 0.1) == 0.0
+    s = default_schedule(sigma=1.0)
+    c = s.t_on / 2.0
+    assert s.chi_window(c) == 1.0
+    assert s.chi_window(c + 1.0) == pytest.approx(math.exp(-0.5))
+    # the Gaussian is cut at 4 sigma, the window's ends, and is zero outside
+    for x in (0.0, s.t_on, -0.1, s.t_on + 0.1):
+        assert s.chi_window(x) == 0.0
+    assert s.chi_window(1e-9) > 0.0
 
 
-def test_schedule_geometry():
-    s = default_schedule(sigma=1.0, repetitions=8)
-    assert s.t_on == pytest.approx(8.0)
-    assert s.t == pytest.approx(s.t_on + s.t_off)
+@pytest.mark.parametrize(
+    "sigma, t_off_factor",
+    [(1.0, 10.0), (0.5, 4.0), (2.25, 0.5), (0.3, 1.0)],
+    ids=["sigma1-off10", "sigma0.5-off4", "sigma2.25-off0.5", "sigma0.3-off1"],
+)
+def test_schedule_geometry(sigma, t_off_factor):
+    s = RepetitionSchedule(sigma, 8, t_off_factor)
+    assert s.t_on == 8.0 * sigma
+    assert s.t == s.t_on + t_off_factor * s.t_on
     a0, b0 = s.interaction_interval(0)
     a1, b1 = s.interaction_interval(1)
-    assert b0 - a0 == pytest.approx(s.t_on)
-    assert a1 - a0 == pytest.approx(s.t)
+    assert (a0, b0) == (0.0, s.t_on)
+    assert a1 - a0 == s.t
+    assert s.chi_window(s.t_on / 2.0) == 1.0
+    assert s.chi_window(0.0) == s.chi_window(s.t_on) == 0.0
+    assert s.chi(s.window_center(1)) == 1.0
 
 
 def test_chi_window_peaks_at_center():

@@ -32,8 +32,9 @@ def test_step_unitary_is_unitary():
 
 def test_string_distribution_normalizes():
     m = random_model(env_dim=4, steps=6, seed=2)
-    total = sum(string_distribution(m, 6).values())
-    assert total == pytest.approx(1.0, abs=1e-12)
+    probs = string_distribution(m, 6)
+    assert probs.shape == (64,) and probs.dtype == float
+    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_exact_string_prob_chain_consistency():
@@ -70,7 +71,7 @@ def test_iid_model_is_exchangeable():
     length = 16
     probs = string_distribution(iid_model(env_dim=4, steps=length, seed=5), length)
     by_count = {}
-    for v, p in probs.items():
+    for v, p in enumerate(probs):
         by_count.setdefault(bin(v).count("1"), []).append(p)
     assert sorted(by_count) == list(range(length + 1))
     for ones, ps in by_count.items():
@@ -184,7 +185,7 @@ def test_string_distribution_matches_step_chain(make):
     m = make()
     tree = string_distribution(m, 8)
     chain = step_chain_probabilities(m, 8)
-    assert sorted(tree) == list(range(256))
+    assert tree.shape == (256,) and sorted(chain) == list(range(256))
     for v, p in chain.items():
         assert tree[v] == pytest.approx(p, abs=1e-15)
         assert exact_string_prob(m, BitString.from_int(v, 8)) == pytest.approx(p, abs=1e-15)
@@ -193,8 +194,8 @@ def test_string_distribution_matches_step_chain(make):
 def test_string_distribution_normalizes_at_length_16():
     m = random_model(env_dim=4, steps=16, seed=14)
     probs = string_distribution(m, 16)
-    assert len(probs) == 1 << 16
-    assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
+    assert probs.shape == (1 << 16,)
+    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_string_distribution_batches_agree(monkeypatch):
@@ -202,9 +203,7 @@ def test_string_distribution_batches_agree(monkeypatch):
     whole = string_distribution(m, 7)
     monkeypatch.setattr("udwrm.oracle.TREE_BLOCK", 12)
     batched = string_distribution(m, 7)
-    assert list(batched) == list(whole)
-    for v, p in whole.items():
-        assert batched[v] == pytest.approx(p, abs=1e-15)
+    np.testing.assert_allclose(batched, whole, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("env_dim, length", [(8, 11), (64, 8)])
@@ -213,8 +212,8 @@ def test_default_batches_agree_with_one_batch(monkeypatch, env_dim, length):
     batched = string_distribution(m, length)
     monkeypatch.setattr("udwrm.oracle.TREE_BLOCK", 1 << 30)
     whole = string_distribution(m, length)
-    assert list(batched) == list(whole)
-    np.testing.assert_allclose(list(batched.values()), list(whole.values()), rtol=0, atol=1e-15)
+    assert batched.shape == whole.shape == (1 << length,)
+    np.testing.assert_allclose(batched, whole, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("env_dim, length", [(8, 11), (64, 8)])
@@ -230,10 +229,17 @@ def test_tree_products_stay_within_tree_block(monkeypatch, env_dim, length):
 
     monkeypatch.setattr(oracle, "_children", counted)
     probs = string_distribution(random_model(env_dim=env_dim, steps=length, seed=19), length)
-    assert len(probs) == 1 << length
+    assert probs.shape == (1 << length,)
     assert max(sizes) <= oracle.TREE_BLOCK
     # every step runs in batches, and the last steps in more than one
     assert len(sizes) > length
+
+
+@pytest.mark.parametrize("length", [0, -1, 6])
+def test_string_length_outside_the_model_is_rejected(length):
+    m = random_model(env_dim=2, steps=5, seed=20)
+    with pytest.raises(ModelError, match="length"):
+        string_distribution(m, length)
 
 
 class LeakyModel(FiniteRmModel):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -17,7 +18,9 @@ from udwrm import (
     BitString,
     CorrectionModel,
     DetectorParams,
+    FiniteRmModel,
     HistoryRecord,
+    Posterior,
     RepetitionSchedule,
     ResponseModel,
     WightmanKernel,
@@ -29,8 +32,8 @@ from udwrm import (
     q_closed_accelerated,
     q_closed_inertial,
     q_direct,
+    random_model,
     rate_report,
-    truncated_gaussian,
 )
 from udwrm.combinatorics import CONTRACTION_ENUM_MAX, MAX_WINDOWS
 from udwrm.response import (
@@ -191,7 +194,7 @@ def quad_reference(kern, sched, d, truncated):
             u = 0.5 * (hi - lo - s) * x + 0.5 * (lo + s + hi)
             return 0.5 * (hi - lo - s) * float(np.dot(wts, sched.chi(u) * sched.chi(u - s)))
     else:
-        sig = sched.profile.width
+        sig = sched.sigma
         s_max = 14.0 * sig
 
         def overlap(s):
@@ -223,14 +226,10 @@ def test_q_direct_error_covers_quad_reference(alpha, truncated, schedule, detect
     assert abs(r.value - ref) <= r.abs_error + ref_err, (r.value, ref, r.abs_error, ref_err)
 
 
-# default schedules (h = t_on / 2) and one whose window is longer than 8 sigma
 OVERLAP_SCHEDULES = {
     "sigma0.5": default_schedule(sigma=0.5),
     "sigma1": default_schedule(sigma=1.0),
     "sigma2.25": default_schedule(sigma=2.25),
-    "long-window": RepetitionSchedule(
-        t_on=13.0, t_off=20.0, repetitions=2, profile=truncated_gaussian(1.0)
-    ),
 }
 
 
@@ -239,7 +238,7 @@ def test_truncated_overlap_matches_gauss_legendre(name):
     """The closed-form overlap against a 240-node Gauss-Legendre integral of
     chi(u) chi(u - s) over the interval where both factors are nonzero."""
     sched = OVERLAP_SCHEDULES[name]
-    sig, h, t_on = sched.profile.width, sched.profile.half_width, sched.t_on
+    sig, h, t_on = sched.sigma, 4.0 * sched.sigma, sched.t_on
     c = t_on / 2.0
     x, wts = np.polynomial.legendre.leggauss(240)
 
@@ -251,8 +250,7 @@ def test_truncated_overlap_matches_gauss_legendre(name):
         return 0.5 * (hi - lo) * float(np.dot(wts, sched.chi(u) * sched.chi(u - s)))
 
     s = np.array(
-        [0.0, 1e-9, 0.3 * h, h, 1.7 * h, 2.0 * h - 1e-6 * sig, 2.0 * h,
-         2.0 * h + 0.5 * (t_on - 2.0 * h), t_on, t_on + 1.0]
+        [0.0, 1e-9, 0.3 * h, h, 1.7 * h, 2.0 * h - 1e-6 * sig, t_on, t_on + 1.0]
     )
     overlap, s_max = _overlap_function(sched, truncated=True)
     assert s_max == t_on
@@ -301,20 +299,29 @@ def test_history_record_validation():
         HistoryRecord(excitations=(0, 2), query=2)
 
 
+def _oracle_model(**changes) -> FiniteRmModel:
+    """A valid two-dimensional oracle model with the given fields replaced."""
+    return dataclasses.replace(random_model(env_dim=2, steps=1, seed=0), **changes)
+
+
 @pytest.mark.parametrize(
     "build, field",
     [
         (lambda: DetectorParams(math.nan, 0.01), "omega"),
         (lambda: DetectorParams(0.2, math.inf), "lam"),
         (lambda: accelerated(math.nan), "alpha"),
-        (lambda: default_schedule(sigma=math.nan), "width"),
-        (lambda: default_schedule(t_off_factor=math.nan), "t_off"),
-        (lambda: RepetitionSchedule(math.inf, 1.0, 4), "t_on"),
-        (lambda: RepetitionSchedule(8.0, 80.0, 4.0), "repetitions"),
+        (lambda: default_schedule(sigma=math.nan), "sigma"),
+        (lambda: default_schedule(t_off_factor=math.nan), "t_off_factor"),
+        (lambda: RepetitionSchedule(math.inf, 4, 10.0), "sigma"),
+        (lambda: RepetitionSchedule(1.0, 4.0, 10.0), "repetitions"),
         (lambda: CorrectionModel(math.nan, lambda q, b: 0.0 * q), "coupling_epsilon"),
         (lambda: HistoryRecord((0.5,), 2), "excitations"),
         (lambda: HistoryRecord((True,), 2), "excitations"),
         (lambda: HistoryRecord((0,), 2.0), "query"),
+        (lambda: _oracle_model(env_initial=np.full(2, math.nan)), "env_initial"),
+        (lambda: _oracle_model(epsilon=math.inf), "epsilon"),
+        (lambda: _oracle_model(generators=(np.full((4, 4), math.nan),)), "generator 0"),
+        (lambda: Posterior(h1=np.full(1024, math.nan)), "h1"),
     ],
     ids=[
         "omega-nan",
@@ -322,12 +329,16 @@ def test_history_record_validation():
         "alpha-nan",
         "sigma-nan",
         "t_off_factor-nan",
-        "t_on-inf",
+        "sigma-inf",
         "repetitions-float",
         "coupling_epsilon-nan",
         "excitation-float",
         "excitation-bool",
         "query-float",
+        "env_initial-nan",
+        "epsilon-inf",
+        "generator-nan",
+        "h1-nan",
     ],
 )
 def test_non_finite_or_non_integer_input_rejected_at_construction(build, field):
