@@ -5,8 +5,8 @@ evaluated at the closest approach of two interaction windows, normalized by
 its value at one window duration.  Loose bounds use only the worst-case
 (adjacent-window) ratio and a crossing-pairing count, so they depend on the
 history length alone; tight bounds use the per-pair ratios of an explicit
-history.  Both are only meaningful while the correlator magnitude decreases
-with window separation, which is checked numerically.
+history.  Both are only meaningful while the correlator magnitude does not
+grow with window separation, which is checked once on the table of ratios.
 """
 
 from __future__ import annotations
@@ -18,14 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinatorics import MAX_WINDOWS, cycle_cover_sums
-from .kernel import WightmanKernel, extreme_point_value
+from .kernel import WightmanKernel
 from .response import HistoryRecord
 from .schedule import RepetitionSchedule
 
 #: n_limit's scan stops here, with a warning, if no horizon is met first.
 N_LIMIT_CAP = 10_000
-#: GammaProfile.from_kernel checks that gamma_(0, j) decreases for
-#: j = 1 .. MONOTONICITY_SEPARATIONS.
+#: GammaProfile.from_kernel tabulates gamma_g for at least
+#: g = 1 .. MONOTONICITY_SEPARATIONS, and checks that it does not increase.
 MONOTONICITY_SEPARATIONS = 16
 
 
@@ -54,47 +54,47 @@ class BoundPair:
 
 
 class GammaProfile:
-    """Pairwise window-separation ratios gamma_ij, with gamma = gamma(adjacent).
+    """Window-separation ratios gamma_g, g = 1 .. G, read-only.
 
-    Built either from a kernel and schedule (ratios of correlator values at
-    the windows' closest approach to the single-window value) or from a
-    constant worst-case gamma.
+    By stationarity gamma_ij depends only on g = |i - j|, so one table
+    serves every pair; gamma = gamma_1 is the adjacent-window ratio.  The
+    table must be finite, start in (0, 1) and not increase with g (a tail
+    that underflows to 0 is allowed).
     """
 
-    def __init__(self, gamma: float, pair_fn=None) -> None:
-        if not 0.0 < gamma < 1.0:
-            raise ValueError("gamma must lie in (0, 1)")
-        self._gamma = gamma
-        self._pair_fn = pair_fn
+    def __init__(self, ratios) -> None:
+        ratios = np.array(ratios, dtype=float)
+        if not (
+            ratios.ndim == 1
+            and ratios.size
+            and np.all(np.isfinite(ratios) & (ratios >= 0.0))
+            and 0.0 < ratios[0] < 1.0
+        ):
+            raise ValueError("ratios must be a finite 1-d table >= 0 with gamma_1 in (0, 1)")
+        if np.any(np.diff(ratios) > 0.0):
+            raise MonotonicityError("correlator magnitude grows with window separation")
+        ratios.flags.writeable = False
+        self.ratios = ratios
 
     @classmethod
     def from_kernel(cls, kern: WightmanKernel, sched: RepetitionSchedule) -> "GammaProfile":
+        """|K(T g - T_on)| / |K(T_on)|: the correlator at the closest approach
+        of two windows g apart over its value at one window length, for
+        g = 1 .. max(MONOTONICITY_SEPARATIONS, repetitions - 1)."""
+        g = np.arange(1, max(MONOTONICITY_SEPARATIONS, sched.repetitions - 1) + 1)
         reference = abs(kern.limit(sched.t_on))
-
-        def pair(i: int, j: int) -> float:
-            return abs(extreme_point_value(kern, sched, i, j)) / reference
-
-        gamma = pair(0, 1)
-        ratios = [pair(0, j) for j in range(1, MONOTONICITY_SEPARATIONS + 1)]
-        if any(b >= a for a, b in zip(ratios, ratios[1:])):
-            raise MonotonicityError(
-                "correlator magnitude does not decrease with window separation"
-            )
-        return cls(gamma, pair_fn=pair)
+        return cls(np.abs(kern.limit(sched.t * g - sched.t_on)) / reference)
 
     @property
     def gamma(self) -> float:
-        return self._gamma
+        return float(self.ratios[0])
 
     def pair(self, i: int, j: int) -> float:
-        if self._pair_fn is None:
-            return self._gamma
-        value = self._pair_fn(i, j)
-        if not 0.0 < value <= self._gamma:
-            raise MonotonicityError(
-                f"gamma_({i},{j}) = {value} outside (0, gamma]"
-            )
-        return value
+        """gamma_ij = gamma_|i-j|."""
+        g = abs(i - j)
+        if not 1 <= g <= self.ratios.size:
+            raise ValueError(f"separation |i - j| = {g} outside the table [1, {self.ratios.size}]")
+        return float(self.ratios[g - 1])
 
 
 def _parity_sums(gamma: float):
@@ -204,7 +204,7 @@ def tight_bounds(
 
     The result is intersected with the loose bounds, which are occasionally
     narrower on one side.  More than MAX_WINDOWS windows raise before any
-    gamma_ij is evaluated.
+    gamma_ij is looked up.
     """
     h = HistoryRecord(tuple(history), query)
     n = h.order

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .bayes import CorrectionModel, Posterior, delta_p_first_order, posterior_trace
-from .bounds import GammaProfile, loose_bound_scan, loose_bounds, n_limit
+from .bounds import GammaProfile, loose_bound_scan, n_limit
 from .combinatorics import (
     MAX_WINDOWS,
     crossing_count,
@@ -240,22 +240,28 @@ def _cmd_string_probs(args, settings):
     try:
         gamma = GammaProfile.from_kernel(kern, model.schedule).gamma
     except ValueError:
-        # T_off <= T_on: adjacent windows correlate at least as strongly as
-        # one window with itself (gamma >= 1), so no loose bound exists
-        def bounds(b):
-            return math.nan, math.nan
+        # gamma outside (0, 1), as with T_off <= T_on, where adjacent windows
+        # correlate at least as strongly as one window with itself: no loose
+        # bound exists
+        scan = []
     else:
-        ub = loose_bounds(min(length, n_limit(q, gamma) - 1), q, gamma)
+        scan = loose_bound_scan(q, gamma, length)
+    # the bound at the string's length certifies every factor of the string
+    # only while it is a probability interval, i.e. inside the horizon
+    ub = scan[-1] if len(scan) == length else None
+    if ub is not None and 0.0 < ub.lower and ub.upper < 1.0:
         bounds = functools.partial(
             ratio_bounds,
             upper_eps=ub.upper / q - 1.0,
             lower_delta=1.0 - ub.lower / q,
             excitation_ratio=q / (1.0 - q),
         )
+    else:
+        bounds = None
     rows = []
     for v, sp in enumerate(rm_string_table(length, model)):
         b = BitString.from_int(v, length)
-        lo, hi = bounds(b)
+        lo, hi = bounds(b) if bounds else (math.nan, math.nan)
         rows.append(
             [
                 v,

@@ -83,19 +83,8 @@ class WightmanKernel:
         if self.worldline.kind == "inertial":
             return -1.0 / (TWO_PI**2) / (s * s)
         a = self.worldline.alpha
-        sh = np.sinh(0.5 * a * s)
-        return -(a**2) / (4.0 * TWO_PI**2) / (sh * sh)
-
-
-def extreme_point_value(k: WightmanKernel, schedule, i: int, j: int) -> float:
-    """Correlator at the closest approach of two interaction intervals.
-
-    For intervals i != j on the repetition grid the minimum separation is
-    T |i - j| - T_on, strictly positive, so the cut-off can be dropped.
-    """
-    if i == j:
-        raise ValueError("the two intervals must be distinct")
-    gap = schedule.t * abs(i - j) - schedule.t_on
-    if gap <= 0:
-        raise ValueError("intervals overlap; extreme-point value undefined")
-    return float(k.limit(gap))
+        # far out sinh^2 overflows to inf and the correlator to -0, which
+        # it is to double precision
+        with np.errstate(over="ignore"):
+            sh = np.sinh(0.5 * a * s)
+            return -(a**2) / (4.0 * TWO_PI**2) / (sh * sh)

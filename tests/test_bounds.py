@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from udwrm import (
@@ -9,19 +10,27 @@ from udwrm import (
     HistoryRecord,
     HorizonExceededError,
     ResponseModel,
+    WightmanKernel,
+    accelerated,
     default_schedule,
+    inertial,
     loose_bounds,
     n_limit,
     parity_correction_sum,
     tight_bounds,
 )
-from udwrm.bounds import MonotonicityError
+from udwrm.bounds import MONOTONICITY_SEPARATIONS, MonotonicityError
 from udwrm.combinatorics import MAX_WINDOWS, crossing_count, cycle_cover_sums
 
 
 Q, GAMMA = 0.1, 0.01
 # README accelerated model (alpha = 0.1): single-window q and adjacent gamma
 README_Q, README_GAMMA = 5.465734945535168e-06, 2.2654559733562785e-04
+
+
+def constant(gamma):
+    """A table with the same ratio at every separation a history can reach."""
+    return GammaProfile([gamma] * MAX_WINDOWS)
 
 
 def exact_parity_sum(n, gamma, parity):
@@ -110,7 +119,7 @@ def test_loose_bounds_raises_past_breakdown():
 
 
 def test_gamma_profile_constant():
-    gp = GammaProfile(GAMMA)
+    gp = constant(GAMMA)
     assert gp.gamma == GAMMA
     assert gp.pair(0, 5) == pytest.approx(GAMMA)
 
@@ -121,17 +130,83 @@ def test_gamma_profile_from_kernel(inertial_kernel, schedule):
     assert gp.pair(0, 2) < gp.pair(0, 1)
 
 
+@pytest.mark.parametrize("alpha", [None, 0.1, 1.0, 5.0], ids=["inertial", "0.1", "1", "5"])
+@pytest.mark.parametrize("repetitions", [8, 30])
+def test_gamma_profile_table_from_kernel(alpha, repetitions):
+    kern = WightmanKernel(inertial() if alpha is None else accelerated(alpha))
+    sched = default_schedule(repetitions=repetitions)
+    gp = GammaProfile.from_kernel(kern, sched)
+    size = max(MONOTONICITY_SEPARATIONS, repetitions - 1)
+    assert gp.ratios.shape == (size,)
+    reference = abs(float(kern.limit(sched.t_on)))
+    for g in range(1, size + 1):
+        value = abs(float(kern.limit(sched.t * g - sched.t_on))) / reference
+        assert gp.ratios[g - 1] == value
+        assert gp.pair(3, 3 + g) == gp.pair(3 + g, 3) == value
+    assert gp.gamma == gp.ratios[0] > 0.0
+    assert all(a >= b for a, b in zip(gp.ratios, gp.ratios[1:]))
+    # the correlator underflows to 0 far out at alpha >= 1
+    assert (gp.ratios[-1] == 0.0) == (alpha is not None and alpha >= 1.0)
+    with pytest.raises(ValueError):
+        gp.ratios[0] = 0.5
+
+
+@pytest.mark.parametrize(
+    "ratios",
+    [
+        [0.01, 0.02],
+        [0.01, 0.001, 0.002],
+        [0.01, -0.001],
+        [0.01, math.nan],
+        [0.01, math.inf],
+        [math.inf],
+        [0.0, 0.0],
+        [1.0, 0.5],
+        [],
+        [[0.01]],
+        0.01,
+    ],
+    ids=[
+        "increasing",
+        "increasing-tail",
+        "negative",
+        "nan",
+        "inf",
+        "inf-gamma",
+        "zero-gamma",
+        "unit-gamma",
+        "empty",
+        "2d",
+        "scalar",
+    ],
+)
+def test_gamma_profile_rejects_bad_tables(ratios):
+    with pytest.raises((ValueError, MonotonicityError)):
+        GammaProfile(ratios)
+
+
+def test_gamma_profile_accepts_constant_and_zero_tail():
+    assert GammaProfile([0.5, 0.5, 0.5]).pair(0, 3) == 0.5
+    assert GammaProfile([0.5, 1e-300, 0.0, 0.0]).pair(7, 3) == 0.0
+
+
+@pytest.mark.parametrize("i, j", [(0, 0), (4, 4), (0, MAX_WINDOWS + 1), (MAX_WINDOWS + 3, 2)])
+def test_gamma_profile_pair_outside_table_raises(i, j):
+    with pytest.raises(ValueError, match="separation"):
+        constant(GAMMA).pair(i, j)
+
+
 def test_gamma_profile_rejects_nonmonotone_kernel(schedule):
     class Wiggle:
         def limit(self, s):
-            return math.cos(s)
+            return np.cos(s)
 
     with pytest.raises(MonotonicityError):
         GammaProfile.from_kernel(Wiggle(), schedule)
 
 
 def test_tight_bounds_reduce_to_known_forms():
-    gp = GammaProfile(GAMMA)
+    gp = constant(GAMMA)
     b2 = tight_bounds((0,), 1, Q, gp)
     assert b2.lower == Q
     assert b2.upper == pytest.approx(Q * (1 + 2 * GAMMA**2))
@@ -141,7 +216,7 @@ def test_tight_bounds_reduce_to_known_forms():
 
 
 def test_tight_bounds_inside_loose():
-    gp = GammaProfile(GAMMA)
+    gp = constant(GAMMA)
     for hist, query, n in (((0,), 1, 2), ((0, 1), 2, 3), ((0, 1, 2), 3, 4)):
         tight = tight_bounds(hist, query, Q, gp)
         loose = loose_bounds(n, Q, GAMMA)
@@ -151,17 +226,14 @@ def test_tight_bounds_inside_loose():
 
 def test_tight_bounds_reach_max_windows():
     n = 7
-    b = tight_bounds(tuple(range(n - 1)), n - 1, Q, GammaProfile(GAMMA))
+    b = tight_bounds(tuple(range(n - 1)), n - 1, Q, constant(GAMMA))
     loose = loose_bounds(n, Q, GAMMA)
     assert b.kind == "tight"
     assert loose.lower <= b.lower <= b.upper <= loose.upper
 
-    def no_work(*_):
-        raise AssertionError("a gamma_ij was evaluated past the window limit")
-
     n = MAX_WINDOWS + 1
     with pytest.raises(ValueError, match="MAX_WINDOWS"):
-        tight_bounds(tuple(range(n - 1)), n - 1, Q, GammaProfile(GAMMA, pair_fn=no_work))
+        tight_bounds(tuple(range(n - 1)), n - 1, Q, constant(GAMMA))
 
 
 @pytest.mark.parametrize(
@@ -171,7 +243,7 @@ def test_tight_bounds_reach_max_windows():
 )
 def test_tight_bounds_reject_bad_histories(history, query):
     with pytest.raises(ValueError):
-        tight_bounds(history, query, Q, GammaProfile(GAMMA))
+        tight_bounds(history, query, Q, constant(GAMMA))
 
 
 @pytest.mark.parametrize("kind", ["inertial", "accelerated"])
@@ -194,6 +266,19 @@ def test_tight_bounds_contain_histories_of_seven_to_ten_windows(
         bound = tight_bounds(history, query, model.q, gp)
         assert bound.kind == "tight"
         assert bound.contains(p.value), (history, p, bound)
+
+
+def test_tight_bounds_contain_a_short_history_at_alpha_1(detector):
+    # gamma_g underflows to 0 from g = 9 on: the bound still holds there
+    kern = WightmanKernel(accelerated(1.0))
+    sched = default_schedule(repetitions=10)
+    gp = GammaProfile.from_kernel(kern, sched)
+    assert gp.pair(0, 9) == 0.0
+    model = ResponseModel(kern, sched, detector)
+    p = model.conditional_excitation(HistoryRecord(excitations=(0, 3), query=9))
+    bound = tight_bounds((0, 3), 9, model.q, gp)
+    assert bound.kind == "tight"
+    assert bound.contains(p.value), (p, bound)
 
 
 def pair_bound(g):
@@ -268,7 +353,7 @@ def test_tight_bounds_contain_every_sign_rule_extreme_at_four_windows(
     # D those without the query, each fraction in [0, B] (even subsets) or
     # [-B, 0] (odd); the bounds hold N and D to these ranges separately
     if profile == "constant":
-        gp, history, query = GammaProfile(GAMMA), (0, 1, 2), 3
+        gp, history, query = constant(GAMMA), (0, 1, 2), 3
     else:
         gp, history, query = GammaProfile.from_kernel(inertial_kernel, schedule), (0, 1, 3), 4
     bound = tight_bounds(history, query, Q, gp)
@@ -301,8 +386,8 @@ def test_tight_bounds_at_five_and_six_windows(
 
 
 def test_tight_bounds_widen_with_gamma():
-    narrow = tight_bounds((0,), 1, Q, GammaProfile(0.005))
-    wide = tight_bounds((0,), 1, Q, GammaProfile(0.02))
+    narrow = tight_bounds((0,), 1, Q, constant(0.005))
+    wide = tight_bounds((0,), 1, Q, constant(0.02))
     assert wide.upper - wide.lower > narrow.upper - narrow.lower
 
 

@@ -206,6 +206,63 @@ def test_string_probs_without_loose_bounds_writes_nan(
             assert r["ratio_lower"] == r["ratio_upper"] == "nan"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"worldline": {"kind": "accelerated", "alpha": 1.0}},
+        {"worldline": {"kind": "accelerated", "alpha": 2.0}},
+        {"worldline": {"kind": "accelerated", "alpha": 5.0}},
+        {
+            "worldline": {"kind": "accelerated", "alpha": 0.5},
+            "schedule": {"sigma": 2.25, "repetitions": 4, "t_off_factor": 3.0},
+        },
+    ],
+    ids=["alpha-1", "alpha-2", "alpha-5", "sigma-2.25"],
+)
+def test_string_probs_exits_0_silently(tmp_path, capsys, config):
+    # the correlator underflows to 0 far out at alpha >= 1, and at small
+    # gamma the horizon lies past any scan cap; neither is an error
+    cfg = write_config(tmp_path, {**config, "strings": {"length": 4}})
+    code, out, err = run(capsys, "string-probs", "--config", cfg)
+    assert (code, err) == (0, "")
+    rows = list(csv.DictReader(out.splitlines()[1:]))
+    assert len(rows) == 16
+    for r in rows:
+        assert 0.0 < float(r["ratio_lower"]) <= 1.0 <= float(r["ratio_upper"])
+
+
+@pytest.mark.parametrize("length", [2, 4, 5, 8])
+def test_string_probs_ratio_bounds_stop_at_the_horizon(tmp_path, capsys, length):
+    # inertial, T_off = 2 T_on: the validity horizon is 5 windows, so only
+    # strings shorter than 5 get ratio bounds, from the bound at their length
+    from udwrm import BitString, GammaProfile, ResponseModel, loose_bounds, n_limit
+    from udwrm.strings import ratio_bounds
+
+    settings = {"schedule": {"t_off_factor": 2.0}, "strings": {"length": length}}
+    code, out, err = run(capsys, "string-probs", "--config", write_config(tmp_path, settings))
+    assert (code, err) == (0, "")
+    rows = list(csv.DictReader(out.splitlines()[1:]))
+    assert len(rows) == 2**length
+    model = ResponseModel(
+        udwrm.WightmanKernel(udwrm.inertial()),
+        udwrm.default_schedule(t_off_factor=2.0),
+        udwrm.DetectorParams(omega=0.2, lam=0.01),
+    )
+    q = model.q
+    gamma = GammaProfile.from_kernel(model.kernel, model.schedule).gamma
+    assert n_limit(q, gamma) == 5
+    if length >= 5:
+        assert all(r["ratio_lower"] == r["ratio_upper"] == "nan" for r in rows)
+        return
+    ub = loose_bounds(length, q, gamma)
+    for v, r in enumerate(rows):
+        lo, hi = ratio_bounds(
+            BitString.from_int(v, length), ub.upper / q - 1.0, 1.0 - ub.lower / q, q / (1.0 - q)
+        )
+        assert (r["ratio_lower"], r["ratio_upper"]) == (cli._fmt(lo), cli._fmt(hi))
+
+
 def test_jobs_flag_is_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, {"bounds": {"q": 0.1, "gamma": 0.01}})
     with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from udwrm.kernel import (
     WightmanKernel,
     accelerated,
-    extreme_point_value,
     inertial,
     unruh_temperature,
 )
@@ -103,8 +103,10 @@ def test_chi_rm_tiles_windows():
     assert s.chi((s.interaction_interval(0)[1] + s.interaction_interval(1)[0]) / 2) == 0.0
 
 
-def test_extreme_point_value_monotone_decay():
-    k = WightmanKernel(inertial())
-    s = default_schedule(repetitions=8)
-    vals = [abs(extreme_point_value(k, s, 0, j)) for j in range(1, 6)]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
+def test_accelerated_limit_underflows_to_zero_without_warning():
+    k = WightmanKernel(accelerated(5.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = k.limit(np.array([1.0, 300.0, 1e4]))
+    assert values[0] < 0.0
+    assert values[1] == values[2] == 0.0

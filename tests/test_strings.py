@@ -136,7 +136,9 @@ def test_string_table_at_eight_windows(kind, schedule, detector):
     # the ratio bounds the string-probs table prints beside each row
     q = model.q
     gp = GammaProfile.from_kernel(model.kernel, schedule)
-    ub = loose_bounds(min(8, n_limit(q, gp.gamma) - 1), q, gp.gamma)
+    # from the bound at the string's length, which the horizon lies beyond
+    assert 8 < n_limit(q, gp.gamma)
+    ub = loose_bounds(8, q, gp.gamma)
     for v, row in enumerate(table):
         b = BitString.from_int(v, 8)
         lo, hi = ratio_bounds(b, ub.upper / q - 1.0, 1.0 - ub.lower / q, q / (1.0 - q))
