@@ -50,7 +50,6 @@ from .oracle import (
     exact_step_probability,
     exact_string_prob,
     iid_model,
-    operator_schmidt,
     perturbative_corrections,
     propagator_consistency,
     random_model,
@@ -122,7 +121,6 @@ __all__ = [
     "inertial",
     "loose_bounds",
     "n_limit",
-    "operator_schmidt",
     "parity_correction_sum",
     "partition_term_count",
     "perturbative_corrections",

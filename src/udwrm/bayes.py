@@ -57,7 +57,7 @@ def _grid(grid_size: int) -> tuple[np.ndarray, np.ndarray]:
     """The uniform q grid on [0, 1] and its trapezoid weights
     dq * [1/2, 1, ..., 1, 1/2], built once per size and read-only."""
     if grid_size < 2:
-        raise ValueError("grid_size must be >= 2")
+        raise ValueError(f"the q grid needs at least 2 points, got {grid_size}")
     q = np.linspace(0.0, 1.0, grid_size)
     w = np.full(grid_size, 1.0 / (grid_size - 1))
     w[0] = w[-1] = 0.5 / (grid_size - 1)
@@ -70,20 +70,17 @@ class Posterior:
     """Joint density over (hypothesis family, q) on a uniform grid.
 
     Stored as two density arrays; the total mass (trapezoid over q, summed
-    over families) is kept at 1.
+    over families) is kept at 1.  The grid has as many points as the given
+    densities, and a density left out is 0.5 on it; with neither given it
+    is the uniform prior on GRID_SIZE points.
     """
 
-    def __init__(
-        self, h1: np.ndarray | None = None, h2: np.ndarray | None = None,
-        grid_size: int = GRID_SIZE,
-    ) -> None:
-        self.q, self._weights = _grid(grid_size)
-        if h1 is None:
-            h1 = np.full(grid_size, 0.5)
-        if h2 is None:
-            h2 = np.full(grid_size, 0.5)
-        self.h1 = np.asarray(h1, dtype=float)
-        self.h2 = np.asarray(h2, dtype=float)
+    def __init__(self, h1: np.ndarray | None = None, h2: np.ndarray | None = None) -> None:
+        given = [h for h in (h1, h2) if h is not None]
+        size = np.size(given[0]) if given else GRID_SIZE
+        self.q, self._weights = _grid(size)
+        self.h1 = np.full(size, 0.5) if h1 is None else np.asarray(h1, dtype=float)
+        self.h2 = np.full(size, 0.5) if h2 is None else np.asarray(h2, dtype=float)
         if self.h1.shape != self.q.shape or self.h2.shape != self.q.shape:
             raise ValueError("density arrays must match the grid")
         for name, h in (("h1", self.h1), ("h2", self.h2)):
@@ -153,7 +150,7 @@ def posterior_trace(
             h /= evidence
             evidence = 1.0
     h /= evidence
-    return Posterior(h[0], h[1], grid_size=len(w)), masses
+    return Posterior(h[0], h[1]), masses
 
 
 def update_posterior(p: Posterior, b: BitString, m: CorrectionModel) -> Posterior:

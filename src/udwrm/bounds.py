@@ -58,8 +58,9 @@ class GammaProfile:
 
     By stationarity gamma_ij depends only on g = |i - j|, so one table
     serves every pair; gamma = gamma_1 is the adjacent-window ratio.  The
-    table must be finite, start in (0, 1) and not increase with g (a tail
-    that underflows to 0 is allowed).
+    table must be finite, start in [0, 1) and not increase with g (a
+    correlator that underflows to 0 gives zeros, and at gamma_1 = 0 every
+    bound is exactly q).
     """
 
     def __init__(self, ratios) -> None:
@@ -68,9 +69,9 @@ class GammaProfile:
             ratios.ndim == 1
             and ratios.size
             and np.all(np.isfinite(ratios) & (ratios >= 0.0))
-            and 0.0 < ratios[0] < 1.0
+            and ratios[0] < 1.0
         ):
-            raise ValueError("ratios must be a finite 1-d table >= 0 with gamma_1 in (0, 1)")
+            raise ValueError("ratios must be a finite 1-d table >= 0 with gamma_1 in [0, 1)")
         if np.any(np.diff(ratios) > 0.0):
             raise MonotonicityError("correlator magnitude grows with window separation")
         ratios.flags.writeable = False
@@ -119,8 +120,8 @@ def _parity_sums(gamma: float):
 
 
 def _check_q_gamma(q: float, gamma: float) -> None:
-    if not 0.0 < q < 1.0 or not 0.0 < gamma < 1.0:
-        raise ValueError("q and gamma must lie in (0, 1)")
+    if not 0.0 < q < 1.0 or not 0.0 <= gamma < 1.0:
+        raise ValueError("q must lie in (0, 1) and gamma in [0, 1)")
 
 
 def parity_correction_sum(n: int, gamma: float, parity: int) -> float:
@@ -129,8 +130,8 @@ def parity_correction_sum(n: int, gamma: float, parity: int) -> float:
     contributions, odd: negative)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must lie in (0, 1)")
+    if not 0.0 <= gamma < 1.0:
+        raise ValueError("gamma must lie in [0, 1)")
     if parity not in (0, 1):
         raise ValueError("parity must be 0 (even) or 1 (odd)")
     return next(itertools.islice(_parity_sums(gamma), n - 1, None))[2 + parity]

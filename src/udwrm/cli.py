@@ -240,7 +240,7 @@ def _cmd_string_probs(args, settings):
     try:
         gamma = GammaProfile.from_kernel(kern, model.schedule).gamma
     except ValueError:
-        # gamma outside (0, 1), as with T_off <= T_on, where adjacent windows
+        # gamma >= 1, as with T_off <= T_on, where adjacent windows
         # correlate at least as strongly as one window with itself: no loose
         # bound exists
         scan = []

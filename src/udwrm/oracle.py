@@ -7,7 +7,7 @@ on the product space and U a detector-only unitary (the identity unless
 given), then projects the detector on the recorded outcome and resets it to
 the ground state.  Every constructor builds this one model type, so the
 measurement tree, the eps-expansion of a step and the propagator check all
-read the same step unitaries.  This gives brute-force ground truth for the
+read the same G_k and U.  This gives brute-force ground truth for the
 perturbative outcome formulas and for the Bayesian machinery, at dimensions
 where everything is cheap.
 """
@@ -77,25 +77,6 @@ def expm_hermitian(h: np.ndarray, t: float = 1.0) -> np.ndarray:
     return (v * np.exp(-1j * t * lam)) @ v.conj().T
 
 
-def operator_schmidt(op: np.ndarray, d_left: int, d_right: int):
-    """Decompose an operator on a product space into sum_l L_l (x) R_l.
-
-    Reshape to (d_left, d_right, d_left, d_right), group the left and right
-    factor indices, and SVD; singular values are absorbed symmetrically.
-    """
-    m = op.reshape(d_left, d_right, d_left, d_right)
-    m = m.transpose(0, 2, 1, 3).reshape(d_left * d_left, d_right * d_right)
-    u, s, vh = np.linalg.svd(m)
-    left, right = [], []
-    for l, sv in enumerate(s):
-        if sv < 1e-14 * s[0]:
-            break
-        root = np.sqrt(sv)
-        left.append(root * u[:, l].reshape(d_left, d_left))
-        right.append(root * vh[l].reshape(d_right, d_right))
-    return left, right
-
-
 @dataclass(frozen=True)
 class FiniteRmModel:
     """Detector (x) environment model executed step by step.
@@ -103,8 +84,7 @@ class FiniteRmModel:
     ``generators[k]`` is the hermitian interaction generator G_k of step k on
     the 2d-dimensional product space, d = len(env_initial).  The step
     propagator U_k(eps) = exp(-i eps G_k)(U (x) I), with U = ``u_detector``
-    (the identity unless given), is exactly unitary at every eps and expands as
-    U (x) I + eps sum_l A_l (x) B_l(k) + eps^2 sum_l C_l (x) D_l(k) + O(eps^3).
+    (the identity unless given), is exactly unitary at every eps.
     """
 
     generators: tuple[np.ndarray, ...]
@@ -147,15 +127,6 @@ class FiniteRmModel:
         _check_unitary(u, f"step {k} propagator")
         return u
 
-    def expansion_terms(self, k: int):
-        """(A_l, B_l) and (C_l, D_l) term lists for step k: the operator
-        Schmidt forms of -i G_k (U (x) I) and (-i G_k)^2 (U (x) I) / 2."""
-        g = -1j * self.generators[k]
-        base = self._uncoupled_step
-        first = operator_schmidt(g @ base, 2, self.env_dim)
-        second = operator_schmidt(g @ g @ base / 2.0, 2, self.env_dim)
-        return first, second
-
     @functools.cached_property
     def _step_columns(self) -> tuple[np.ndarray, ...]:
         """The columns of each step unitary on detector |0> (x) environment,
@@ -164,48 +135,6 @@ class FiniteRmModel:
         return tuple(
             np.ascontiguousarray(self.step_unitary(k)[:, :d]) for k in range(self.steps)
         )
-
-
-@dataclass
-class TrajectoryState:
-    """Environment vector plus the outcomes and probability accumulated so
-    far along one branch of the measurement tree."""
-
-    env: np.ndarray
-    bits: tuple[int, ...] = ()
-    probability: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not abs(np.linalg.norm(self.env) - 1.0) <= 1e-10:
-            raise ModelError("trajectory environment state must be normalized")
-
-
-def step_distribution(m: FiniteRmModel, t: TrajectoryState, k: int):
-    """Outcome distribution of step k and the post-measurement states.
-
-    Returns (p0, p1, state_for_0, state_for_1); the post-states have the
-    detector already reset to the ground state, so only the environment
-    vector survives.  A branch of probability zero carries a None state.
-    """
-    d = m.env_dim
-    u = m.step_unitary(k)
-    psi = u @ np.kron(np.array([1.0, 0.0]), t.env)
-    blocks = psi.reshape(2, d)
-    probs = [float(np.sum(np.abs(blocks[b]) ** 2)) for b in (0, 1)]
-    if not abs(probs[0] + probs[1] - 1.0) <= 1e-12:
-        raise ModelError(f"step {k} outcome probabilities sum to {sum(probs)}")
-    states = []
-    for b in (0, 1):
-        if probs[b] <= 0.0:
-            states.append(None)
-            continue
-        env = blocks[b] / np.sqrt(probs[b])
-        states.append(
-            TrajectoryState(
-                env=env, bits=t.bits + (b,), probability=t.probability * probs[b]
-            )
-        )
-    return probs[0], probs[1], states[0], states[1]
 
 
 def _check_length(m: FiniteRmModel, length: int) -> None:
@@ -276,39 +205,21 @@ def perturbative_corrections(m: FiniteRmModel, k: int, env: np.ndarray):
     """Born part and the first/second order outcome corrections at step k.
 
     Returns (p, q1, q2) as length-2 arrays over outcomes; the exact step
-    probability is p + eps q1 + eps^2 q2 + O(eps^3).
+    probability is p + eps q1 + eps^2 q2 + O(eps^3).  The post-step state
+    expands as psi0 + eps psi1 + eps^2 psi2 + O(eps^3), with
+    psi0 = (U (x) I)(|0> (x) env), psi1 = -i G_k psi0 and
+    psi2 = -G_k^2 psi0 / 2, so outcome b has q1 = 2 Re <psi1|P_b|psi0> and
+    q2 = ||P_b psi1||^2 + 2 Re <psi2|P_b|psi0>.
     """
-    u = m.u_detector
-    ket0 = np.array([1.0, 0.0], dtype=complex)
-    u0 = u @ ket0
-    (a_ops, b_ops), (c_ops, d_ops) = m.expansion_terms(k)
-
-    p = np.abs(u0) ** 2
-    q1 = np.zeros(2)
-    q2 = np.zeros(2)
-    for outcome in (0, 1):
-        proj = np.zeros((2, 2), dtype=complex)
-        proj[outcome, outcome] = 1.0
-        first = 0.0 + 0.0j
-        for a, b_env in zip(a_ops, b_ops):
-            det = ket0.conj() @ (a.conj().T @ proj @ u) @ ket0
-            envv = env.conj() @ (b_env.conj().T @ env)
-            first += det * envv
-        q1[outcome] = float(2.0 * first.real)
-
-        second = 0.0 + 0.0j
-        for a, b_env in zip(a_ops, b_ops):
-            for a2, b2 in zip(a_ops, b_ops):
-                det = ket0.conj() @ (a.conj().T @ proj @ a2) @ ket0
-                envv = env.conj() @ (b_env.conj().T @ b2 @ env)
-                second += det * envv
-        cross = 0.0 + 0.0j
-        for c, d_env in zip(c_ops, d_ops):
-            det = ket0.conj() @ (c.conj().T @ proj @ u) @ ket0
-            envv = env.conj() @ (d_env.conj().T @ env)
-            cross += det * envv
-        q2[outcome] = float(second.real + 2.0 * cross.real)
-    return p, q1, q2
+    u0 = m.u_detector[:, 0]
+    g = m.generators[k]
+    psi0 = np.kron(u0, env)
+    psi1 = -1j * (g @ psi0)
+    psi2 = -0.5j * (g @ psi1)
+    psi0, psi1, psi2 = (v.reshape(2, m.env_dim) for v in (psi0, psi1, psi2))
+    q1 = 2.0 * np.sum(psi1.conj() * psi0, axis=1).real
+    q2 = np.sum(np.abs(psi1) ** 2, axis=1) + 2.0 * np.sum(psi2.conj() * psi0, axis=1).real
+    return np.abs(u0) ** 2, q1, q2
 
 
 def exact_step_probability(

@@ -152,7 +152,7 @@ def update_posterior_reference(p: Posterior, b: BitString, m: CorrectionModel) -
         raise DegenerateEvidenceError(
             "all hypotheses assign zero probability to the observed string"
         )
-    return Posterior(new1 / evidence, new2 / evidence, grid_size=len(p.q))
+    return Posterior(new1 / evidence, new2 / evidence)
 
 
 def sequential_reference(post: Posterior, strings, m: CorrectionModel):
@@ -349,8 +349,13 @@ def test_posterior_masses_are_trapezoid_sums():
     q = np.linspace(0.0, 1.0, grid)
     h1, h2 = rng.random(grid), rng.random(grid)
     scale = np.trapezoid(h1, q) + np.trapezoid(h2, q)
-    p = Posterior(h1=h1 / scale, h2=h2 / scale, grid_size=grid)
+    p = Posterior(h1=h1 / scale, h2=h2 / scale)
     assert p.family_mass(1) == pytest.approx(np.trapezoid(h1 / scale, q), rel=1e-14)
     assert p.total_mass() == pytest.approx(1.0, abs=1e-14)
+    # the grid is read off the densities, and one left out is 0.5 on it
+    half = Posterior(h2=np.full(3, 0.5))
+    assert half.q.tolist() == [0.0, 0.5, 1.0] and half.h1.tolist() == [0.5] * 3
+    with pytest.raises(ValueError, match="match the grid"):
+        Posterior(np.full(3, 0.5), np.full(4, 0.5))
     with pytest.raises(ValueError):
-        Posterior(grid_size=1)
+        Posterior(h1=np.ones(1))

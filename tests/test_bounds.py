@@ -19,7 +19,7 @@ from udwrm import (
     parity_correction_sum,
     tight_bounds,
 )
-from udwrm.bounds import MONOTONICITY_SEPARATIONS, MonotonicityError
+from udwrm.bounds import MONOTONICITY_SEPARATIONS, N_LIMIT_CAP, MonotonicityError, loose_bound_scan
 from udwrm.combinatorics import MAX_WINDOWS, crossing_count, cycle_cover_sums
 
 
@@ -160,7 +160,6 @@ def test_gamma_profile_table_from_kernel(alpha, repetitions):
         [0.01, math.nan],
         [0.01, math.inf],
         [math.inf],
-        [0.0, 0.0],
         [1.0, 0.5],
         [],
         [[0.01]],
@@ -173,7 +172,6 @@ def test_gamma_profile_table_from_kernel(alpha, repetitions):
         "nan",
         "inf",
         "inf-gamma",
-        "zero-gamma",
         "unit-gamma",
         "empty",
         "2d",
@@ -188,6 +186,7 @@ def test_gamma_profile_rejects_bad_tables(ratios):
 def test_gamma_profile_accepts_constant_and_zero_tail():
     assert GammaProfile([0.5, 0.5, 0.5]).pair(0, 3) == 0.5
     assert GammaProfile([0.5, 1e-300, 0.0, 0.0]).pair(7, 3) == 0.0
+    assert GammaProfile([0.0, 0.0]).gamma == 0.0
 
 
 @pytest.mark.parametrize("i, j", [(0, 0), (4, 4), (0, MAX_WINDOWS + 1), (MAX_WINDOWS + 3, 2)])
@@ -203,6 +202,19 @@ def test_gamma_profile_rejects_nonmonotone_kernel(schedule):
 
     with pytest.raises(MonotonicityError):
         GammaProfile.from_kernel(Wiggle(), schedule)
+
+
+def test_zero_gamma_bounds_are_exactly_q():
+    # a correlator that underflows to 0 at the adjacent window carries no
+    # memory: every bound collapses to [q, q]
+    assert [(b.lower, b.upper) for b in loose_bound_scan(Q, 0.0, 50)] == [(Q, Q)] * 50
+    zeros = GammaProfile([0.0] * MAX_WINDOWS)
+    for n in range(2, MAX_WINDOWS + 1):
+        b = tight_bounds(tuple(range(n - 1)), n - 1, Q, zeros)
+        assert (b.lower, b.upper) == (Q, Q)
+        assert parity_correction_sum(n, 0.0, 0) == parity_correction_sum(n, 0.0, 1) == 0.0
+    with pytest.warns(UserWarning, match="search cap"):
+        assert n_limit(Q, 0.0) == N_LIMIT_CAP
 
 
 def test_tight_bounds_reduce_to_known_forms():

@@ -232,6 +232,19 @@ def test_string_probs_exits_0_silently(tmp_path, capsys, config):
         assert 0.0 < float(r["ratio_lower"]) <= 1.0 <= float(r["ratio_upper"])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", [9.0, 20.0])
+def test_string_probs_at_zero_gamma_writes_unit_ratio_bounds(tmp_path, capsys, alpha):
+    # sinh(alpha T_off / 2)^2 overflows, so gamma_1 = 0: the loose bound is
+    # exactly [q, q] and every ratio interval is [1, 1]
+    config = {"worldline": {"kind": "accelerated", "alpha": alpha}, "strings": {"length": 4}}
+    code, out, err = run(capsys, "string-probs", "--config", write_config(tmp_path, config))
+    assert (code, err) == (0, "")
+    rows = list(csv.DictReader(out.splitlines()[1:]))
+    assert len(rows) == 16
+    assert all(float(r["ratio_lower"]) == float(r["ratio_upper"]) == 1.0 for r in rows)
+
+
 @pytest.mark.parametrize("length", [2, 4, 5, 8])
 def test_string_probs_ratio_bounds_stop_at_the_horizon(tmp_path, capsys, length):
     # inertial, T_off = 2 T_on: the validity horizon is 5 windows, so only

@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from udwrm import (
     exact_step_probability,
     exact_string_prob,
     iid_model,
-    operator_schmidt,
     perturbative_corrections,
     propagator_consistency,
     random_model,
@@ -20,7 +21,7 @@ from udwrm import (
     string_distribution,
 )
 from udwrm import oracle
-from udwrm.oracle import FiniteRmModel, TrajectoryState, step_distribution
+from udwrm.oracle import FiniteRmModel
 
 
 def test_step_unitary_is_unitary():
@@ -78,12 +79,42 @@ def test_iid_model_is_exchangeable():
         assert max(ps) - min(ps) <= 2 * length * np.finfo(float).eps * max(ps), ones
 
 
-def test_operator_schmidt_reconstructs():
-    rng = np.random.default_rng(6)
-    op = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    left, right = operator_schmidt(op, 2, 4)
-    rebuilt = sum(np.kron(a, b) for a, b in zip(left, right))
-    np.testing.assert_allclose(rebuilt, op, atol=1e-10)
+@pytest.mark.parametrize("env_dim", [1, 2, 8, 64])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda d: random_weak_model(env_dim=d, steps=1, epsilon=1e-3, seed=d),
+        lambda d: random_model(env_dim=d, steps=1, seed=d),
+        lambda d: iid_model(env_dim=d, steps=1, seed=d),
+    ],
+    ids=["weak", "random", "iid"],
+)
+def test_corrections_are_central_differences_of_the_exact_step(make, env_dim):
+    # q1 and q2 are the first derivative and half the second derivative of
+    # the exact outcome probabilities in eps at eps = 0
+    m = make(env_dim)
+    env, h = m.env_initial, 1e-4
+    g_norm = float(np.linalg.norm(m.generators[0], 2))
+    p, q1, q2 = perturbative_corrections(m, 0, env)
+    plus, zero, minus = (exact_step_probability(m, 0, env, e) for e in (h, 0.0, -h))
+    np.testing.assert_allclose(zero, p, rtol=0, atol=oracle.PROBABILITY_ROUNDOFF)
+    np.testing.assert_allclose(q1, (plus - minus) / (2 * h), rtol=0, atol=1e-6 * g_norm)
+    np.testing.assert_allclose(
+        q2, (plus - 2 * zero + minus) / (2 * h * h), rtol=0, atol=1e-6 * g_norm**2
+    )
+
+
+def test_perturbative_corrections_stay_small_at_the_largest_environment():
+    # the expansion needs only vectors of length 2d; one complex d^2 x d^2
+    # intermediate, as an operator decomposition builds, is 256 MiB at d = 64
+    m = random_weak_model(env_dim=oracle.MAX_ENV_DIM, steps=1, epsilon=1e-3, seed=3)
+    tracemalloc.start()
+    try:
+        perturbative_corrections(m, 0, m.env_initial)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_perturbative_corrections_are_real_and_balanced():
@@ -153,6 +184,48 @@ def test_model_guards():
     for eps in (0.0, 1e-3, 0.5, 3.0):
         exact = exact_step_probability(mi, 0, mi.env_initial, eps)
         np.testing.assert_allclose(exact, p, rtol=0, atol=1e-15)
+
+
+@dataclass
+class TrajectoryState:
+    """Environment vector plus the outcomes and probability accumulated so
+    far along one branch of the measurement tree."""
+
+    env: np.ndarray
+    bits: tuple[int, ...] = ()
+    probability: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not abs(np.linalg.norm(self.env) - 1.0) <= 1e-10:
+            raise ModelError("trajectory environment state must be normalized")
+
+
+def step_distribution(m: FiniteRmModel, t: TrajectoryState, k: int):
+    """Outcome distribution of step k and the post-measurement states.
+
+    Returns (p0, p1, state_for_0, state_for_1); the post-states have the
+    detector already reset to the ground state, so only the environment
+    vector survives.  A branch of probability zero carries a None state.
+    """
+    d = m.env_dim
+    u = m.step_unitary(k)
+    psi = u @ np.kron(np.array([1.0, 0.0]), t.env)
+    blocks = psi.reshape(2, d)
+    probs = [float(np.sum(np.abs(blocks[b]) ** 2)) for b in (0, 1)]
+    if not abs(probs[0] + probs[1] - 1.0) <= 1e-12:
+        raise ModelError(f"step {k} outcome probabilities sum to {sum(probs)}")
+    states = []
+    for b in (0, 1):
+        if probs[b] <= 0.0:
+            states.append(None)
+            continue
+        env = blocks[b] / np.sqrt(probs[b])
+        states.append(
+            TrajectoryState(
+                env=env, bits=t.bits + (b,), probability=t.probability * probs[b]
+            )
+        )
+    return probs[0], probs[1], states[0], states[1]
 
 
 def step_chain_probabilities(m, length):
