@@ -249,19 +249,11 @@ def _cmd_string_probs(args, settings):
     # the bound at the string's length certifies every factor of the string
     # only while it is a probability interval, i.e. inside the horizon
     ub = scan[-1] if len(scan) == length else None
-    if ub is not None and 0.0 < ub.lower and ub.upper < 1.0:
-        bounds = functools.partial(
-            ratio_bounds,
-            upper_eps=ub.upper / q - 1.0,
-            lower_delta=1.0 - ub.lower / q,
-            excitation_ratio=q / (1.0 - q),
-        )
-    else:
-        bounds = None
+    certified = ub is not None and 0.0 < ub.lower and ub.upper < 1.0
     rows = []
     for v, sp in enumerate(rm_string_table(length, model)):
         b = BitString.from_int(v, length)
-        lo, hi = bounds(b) if bounds else (math.nan, math.nan)
+        lo, hi = ratio_bounds(b, ub, q) if certified else (math.nan, math.nan)
         rows.append(
             [
                 v,

@@ -70,6 +70,7 @@ class HistoryRecord:
     query: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "excitations", tuple(self.excitations))
         last = -1
         for n in self.excitations:
             if not is_integer(n):
@@ -536,20 +537,11 @@ class ResponseModel:
         return float(values.sum()), float(values[: 1 << (n - 1)].sum()), float(errors.sum())
 
     def conditional_excitation(self, h: HistoryRecord) -> ProbabilityResult:
-        """P_n = q (1 + numerator corrections) / (1 + history corrections)."""
-        num, den, err = self.correction_sums(h)
-        if 1.0 + den <= 0.0:
-            raise BoundViolationError(
-                f"history correction sum {den} drove the denominator to zero"
-            )
-        value = self.q * (1.0 + num) / (1.0 + den)
+        """P_n = q (1 + P_n/q - 1), the ratio from the correction sums."""
+        ratio, err = ratio_from_sums(*self.correction_sums(h))
         return ProbabilityResult(
-            value=value, abs_error=self.q * 2.0 * err, method="quadrature"
+            value=self.q * (1.0 + ratio), abs_error=self.q * err, method="quadrature"
         )
-
-    def correction_ratio(self, h: HistoryRecord) -> tuple[float, float]:
-        """P_n / q - 1, formed from the correction sums directly."""
-        return ratio_from_sums(*self.correction_sums(h))
 
 
 def ratio_from_sums(num: float, den: float, err: float) -> tuple[float, float]:

@@ -11,9 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .bounds import BoundPair
 from .combinatorics import subset_sums
 from .kernel import Worldline
-from .response import HistoryRecord, ResponseModel, ratio_from_sums
+from .response import ResponseModel, ratio_from_sums
+from .schedule import is_integer
 
 
 @dataclass(frozen=True)
@@ -23,10 +25,10 @@ class BitString:
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.bits:
-            raise ValueError("bit string must be non-empty")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("bits must be 0 or 1")
+        bits = tuple(self.bits)
+        if not (bits and all(is_integer(b) and b in (0, 1) for b in bits)):
+            raise ValueError(f"bits must be the integers 0 and 1, at least one, got {self.bits!r}")
+        object.__setattr__(self, "bits", tuple(map(int, bits)))
 
     @classmethod
     def from_int(cls, value: int, length: int) -> "BitString":
@@ -87,30 +89,29 @@ class StringProbability:
     abs_error: float
 
 
-def _chain_law(b: BitString, q: float, correction) -> StringProbability:
+def _chain_law(b: BitString, q: float, sums, sum_errors) -> StringProbability:
     """Chain-law string probability, each factor conditioned on the ones
     recorded before it.
 
     Windows are numbered 0..L-1; bit j (1-based) is the outcome of window
-    j-1.  ``correction(ones, j)`` gives (P(1|ones)/q - 1, abs error) for a
-    non-empty tuple of earlier excited windows.  The result also carries
-    log(P_rm / P_born) assembled from these per-factor ratios, which stays
-    accurate when the correction is far below the probability's
-    double-precision resolution.
+    j-1.  ``sums[mask]`` and ``sum_errors[mask]`` are the correction sums of
+    the windows in ``mask`` (bit i for window i) and their errors; they are
+    0 on masks of one window, so a factor without history is exactly q.
+    The result also carries log(P_rm / P_born) assembled from the
+    per-factor ratios, which stays accurate when the correction is far
+    below the probability's double-precision resolution.
     """
     log_ratio = 0.0
     err = 0.0
-    prior_ones: list[int] = []
+    history = 0
     for j, bit in enumerate(b.bits):
-        if prior_ones:
-            ratio, ratio_err = correction(tuple(prior_ones), j)
-        else:
-            ratio, ratio_err = 0.0, 0.0
+        full = history | 1 << j
+        ratio, ratio_err = ratio_from_sums(sums[full], sums[history], sum_errors[full])
         if bit == 1:
             # P(1|h)/q = 1 + ratio
             log_ratio += math.log1p(ratio)
             err += ratio_err
-            prior_ones.append(j)
+            history |= 1 << j
         else:
             # (1 - P(1|h))/(1 - q) = 1 - q*ratio/(1-q)
             log_ratio += math.log1p(-q * ratio / (1.0 - q))
@@ -121,53 +122,51 @@ def _chain_law(b: BitString, q: float, correction) -> StringProbability:
     )
 
 
-def rm_string_prob(b: BitString, model: ResponseModel) -> StringProbability:
-    """Chain-law probability of one string, each factor from the model's
-    correction sums over its history."""
-    return _chain_law(
-        b,
-        model.q,
-        lambda ones, j: model.correction_ratio(HistoryRecord(excitations=ones, query=j)),
-    )
+def _window_sums(length: int, model: ResponseModel) -> tuple[list[float], list[float]]:
+    """Correction sums of every subset of windows 0..length-1, and their
+    errors, indexed by mask.
 
-
-def rm_string_table(length: int, model: ResponseModel) -> list[StringProbability]:
-    """Chain-law probabilities of all 2^length strings, indexed by
-    ``BitString.to_int``.
-
-    One subset pass over windows 0..length-1 gives the correction fraction
-    of every window subset; their zeta transform (and that of their errors)
-    gives every history's correction sums, so each chain factor is a
-    lookup.  The pass raises past MAX_WINDOWS windows.
+    One subset pass gives the correction fraction of every window subset;
+    their zeta transform (and that of their errors) gives every history's
+    correction sums.  A length past the repetitions, or past MAX_WINDOWS
+    windows, raises before any integral.
     """
     reps = model.schedule.repetitions
     if not 1 <= length <= reps:
         raise ValueError(f"table length must lie in [1, {reps}] (the repetitions), got {length}")
     values, errors = model._subset_fractions(tuple(range(length)))
-    sums, sum_errors = subset_sums(values).tolist(), subset_sums(errors).tolist()
+    return subset_sums(values).tolist(), subset_sums(errors).tolist()
 
-    def correction(ones: tuple[int, ...], j: int) -> tuple[float, float]:
-        history = sum(1 << i for i in ones)
-        full = history | 1 << j
-        return ratio_from_sums(sums[full], sums[history], sum_errors[full])
 
+def rm_string_prob(b: BitString, model: ResponseModel) -> StringProbability:
+    """Chain-law probability of one string: its row of
+    ``rm_string_table(b.length, model)``."""
+    return _chain_law(b, model.q, *_window_sums(b.length, model))
+
+
+def rm_string_table(length: int, model: ResponseModel) -> list[StringProbability]:
+    """Chain-law probabilities of all 2^length strings, indexed by
+    ``BitString.to_int``, from one subset pass: each chain factor is a
+    lookup."""
+    sums = _window_sums(length, model)
     return [
-        _chain_law(BitString.from_int(v, length), model.q, correction)
-        for v in range(1 << length)
+        _chain_law(BitString.from_int(v, length), model.q, *sums) for v in range(1 << length)
     ]
 
 
-def ratio_bounds(
-    b: BitString, upper_eps: float, lower_delta: float, excitation_ratio: float
-) -> tuple[float, float]:
-    """Interval guaranteed to contain P_rm(B) / P_born(B).
+def ratio_bounds(b: BitString, bound: BoundPair, q: float) -> tuple[float, float]:
+    """Interval guaranteed to contain P_rm(B) / P_born(B), given a bound
+    that holds every conditional excitation probability of the string
+    (such as the loose bound at its length).
 
-    upper_eps and lower_delta are the worst-case relative deviations of the
-    conditional excitation probability (from the bounds module); the
-    excitation ratio is q/(1-q).
+    The bound's worst-case relative deviations from q, and q/(1-q), set how
+    far each 1 and each 0 can move its factor.
     """
-    if upper_eps < 0 or lower_delta < 0 or excitation_ratio < 0:
-        raise ValueError("deviations and the excitation ratio must be >= 0")
+    if not (0.0 < q < 1.0 and bound.lower <= q <= bound.upper):
+        raise ValueError(f"need 0 < q < 1 inside the bound, got q = {q!r} and {bound}")
+    upper_eps = bound.upper / q - 1.0
+    lower_delta = 1.0 - bound.lower / q
+    excitation_ratio = q / (1.0 - q)
     n = b.popcount
     zeros = b.length - n
     lower = (1.0 - lower_delta) ** n * (1.0 - excitation_ratio * upper_eps) ** zeros

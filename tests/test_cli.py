@@ -270,9 +270,7 @@ def test_string_probs_ratio_bounds_stop_at_the_horizon(tmp_path, capsys, length)
         return
     ub = loose_bounds(length, q, gamma)
     for v, r in enumerate(rows):
-        lo, hi = ratio_bounds(
-            BitString.from_int(v, length), ub.upper / q - 1.0, 1.0 - ub.lower / q, q / (1.0 - q)
-        )
+        lo, hi = ratio_bounds(BitString.from_int(v, length), ub, q)
         assert (r["ratio_lower"], r["ratio_upper"]) == (cli._fmt(lo), cli._fmt(hi))
 
 

@@ -46,6 +46,7 @@ from udwrm.response import (
     _overlap_function,
     _panel_quadrature,
     _richardson,
+    ratio_from_sums,
 )
 
 
@@ -351,7 +352,7 @@ def test_query_past_schedule_rejected(full_model):
     with pytest.raises(ValueError, match="past the last"):
         full_model.conditional_excitation(HistoryRecord(excitations=(0,), query=past))
     with pytest.raises(ValueError, match="past the last"):
-        full_model.correction_ratio(HistoryRecord(excitations=(), query=past))
+        full_model.correction_sums(HistoryRecord(excitations=(), query=past))
 
 
 def test_history_beyond_enumeration_rejected_before_integrals(inertial_kernel, detector):
@@ -399,8 +400,18 @@ def test_conditional_excitation_near_q(full_model):
     assert r.value != full_model.q
 
 
+@pytest.mark.parametrize("excitations", [np.array([0, 2]), [0, 2], range(0, 4, 2)])
+def test_history_excitations_any_sequence(full_model, excitations):
+    h = HistoryRecord(excitations=excitations, query=3)
+    ref = HistoryRecord(excitations=(0, 2), query=3)
+    assert h.excitations == (0, 2) and type(h.excitations) is tuple
+    assert h == ref and hash(h) == hash(ref)
+    assert full_model.conditional_excitation(h) == full_model.conditional_excitation(ref)
+
+
 def test_correction_ratio_small(full_model):
-    ratio, err = full_model.correction_ratio(HistoryRecord(excitations=(0,), query=1))
+    h = HistoryRecord(excitations=(0,), query=1)
+    ratio, err = ratio_from_sums(*full_model.correction_sums(h))
     assert abs(ratio) < 1e-3
     assert err >= 0.0
 

@@ -1,10 +1,12 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from udwrm import (
     BitString,
+    BoundPair,
     GammaProfile,
     HistoryRecord,
     ResponseModel,
@@ -20,6 +22,8 @@ from udwrm import (
     rm_string_prob,
     rm_string_table,
 )
+from udwrm.combinatorics import MAX_WINDOWS
+from udwrm.response import ratio_from_sums
 
 
 def test_bitstring_roundtrip():
@@ -43,6 +47,20 @@ def test_bitstring_validation():
         BitString(bits=(0, 2))
     with pytest.raises(ValueError):
         BitString.from_int(16, 4)
+
+
+@pytest.mark.parametrize("bits", [(True, False), (1.0, 0), (0, np.float64(1.0)), ("1", "0")])
+def test_bitstring_accepts_only_integer_bits(bits):
+    with pytest.raises(ValueError, match="integers 0 and 1"):
+        BitString(bits=bits)
+
+
+def test_bitstring_stores_a_tuple_of_ints():
+    ref = BitString(bits=(1, 0, 1))
+    for bits in ([1, 0, 1], np.array([1, 0, 1])):
+        b = BitString(bits=bits)
+        assert type(b.bits) is tuple and all(type(x) is int for x in b.bits)
+        assert b == ref and hash(b) == hash(ref) and str(b) == "101"
 
 
 def test_born_string_prob_product_law():
@@ -77,15 +95,26 @@ def test_rm_string_prob_consistent_with_log_ratio(full_model):
 
 def test_ratio_bounds_bracket_one_and_widen():
     b = BitString.from_int(0b0110, 4)
-    lo, hi = ratio_bounds(b, 1e-4, 1e-4, 0.1 / 0.9)
+    q = 0.1
+    lo, hi = ratio_bounds(b, BoundPair(q * (1 - 1e-4), q * (1 + 1e-4), "loose"), q)
     assert lo <= 1.0 <= hi
-    lo2, hi2 = ratio_bounds(b, 1e-3, 1e-3, 0.1 / 0.9)
+    lo2, hi2 = ratio_bounds(b, BoundPair(q * (1 - 1e-3), q * (1 + 1e-3), "loose"), q)
     assert lo2 < lo and hi2 > hi
+    assert ratio_bounds(b, BoundPair(q, q, "loose"), q) == (1.0, 1.0)
 
 
 def test_ratio_bounds_validation():
-    with pytest.raises(ValueError):
-        ratio_bounds(BitString(bits=(1,)), -1e-3, 0.0, 0.1)
+    for lower, upper, q in [
+        (0.11, 0.12, 0.1),  # q below the bound
+        (0.08, 0.09, 0.1),  # q above it
+        (0.0, 0.0, 0.0),
+        (1.0, 1.0, 1.0),
+        (0.09, 0.11, math.nan),
+        (math.nan, 0.11, 0.1),
+        (0.09, math.nan, 0.1),
+    ]:
+        with pytest.raises(ValueError):
+            ratio_bounds(BitString(bits=(1,)), BoundPair(lower, upper, "loose"), q)
 
 
 def test_rate_report_reference_levels():
@@ -103,6 +132,27 @@ def fresh_model(kind, schedule, detector):
     return ResponseModel(kern, schedule, detector)
 
 
+def per_factor_chain_law(b, model):
+    """Reference chain law, independent of the table's zeta transform: each
+    factor from the correction sums of its own history.  Returns
+    (value, log ratio to the Born probability)."""
+    q = model.q
+    log_ratio = 0.0
+    ones = []
+    for j, bit in enumerate(b.bits):
+        if ones:
+            h = HistoryRecord(excitations=ones, query=j)
+            ratio, _ = ratio_from_sums(*model.correction_sums(h))
+        else:
+            ratio = 0.0
+        if bit == 1:
+            log_ratio += math.log1p(ratio)
+            ones.append(j)
+        else:
+            log_ratio += math.log1p(-q * ratio / (1.0 - q))
+    return born_string_prob(q, b) * math.exp(log_ratio), log_ratio
+
+
 @pytest.fixture(scope="module")
 def per_string_models(schedule, detector):
     return {kind: fresh_model(kind, schedule, detector) for kind in ("inertial", "accelerated")}
@@ -116,13 +166,15 @@ def test_string_table_matches_per_string_chain_law(
     table = rm_string_table(length, fresh_model(kind, schedule, detector))
     assert len(table) == 1 << length
     for v, row in enumerate(table):
-        ref = rm_string_prob(BitString.from_int(v, length), per_string_models[kind])
+        value, log_ratio = per_factor_chain_law(
+            BitString.from_int(v, length), per_string_models[kind]
+        )
         # log(P_rm / P_born) carries the correction; the value itself may
         # round differently by an ulp through exp
-        assert abs(row.log_ratio_correction - ref.log_ratio_correction) <= (
+        assert abs(row.log_ratio_correction - log_ratio) <= (
             row.abs_error / row.value
-        ), (v, row, ref)
-        assert abs(row.value - ref.value) <= row.abs_error + math.ulp(ref.value), (v, row, ref)
+        ), (v, row, log_ratio)
+        assert abs(row.value - value) <= row.abs_error + math.ulp(value), (v, row, value)
 
 
 @pytest.mark.parametrize("kind", ["inertial", "accelerated"])
@@ -141,21 +193,49 @@ def test_string_table_at_eight_windows(kind, schedule, detector):
     ub = loose_bounds(8, q, gp.gamma)
     for v, row in enumerate(table):
         b = BitString.from_int(v, 8)
-        lo, hi = ratio_bounds(b, ub.upper / q - 1.0, 1.0 - ub.lower / q, q / (1.0 - q))
+        lo, hi = ratio_bounds(b, ub, q)
         assert lo <= row.value / born_string_prob(q, b) <= hi, (str(b), row)
 
     # the last factor of 11111110 conditions on a history of 7 windows,
-    # which the per-string chain law reaches too
+    # which the per-factor reference reaches too
     b = BitString.from_int(0b11111110, 8)
     assert str(b) == "11111110"
     row = table[b.to_int()]
     assert row.value > 0.0 and row.abs_error > 0.0
     assert math.isfinite(row.log_ratio_correction) and row.log_ratio_correction != 0.0
-    ref = rm_string_prob(b, fresh_model(kind, schedule, detector))
-    assert abs(row.log_ratio_correction - ref.log_ratio_correction) <= (
+    value, log_ratio = per_factor_chain_law(b, fresh_model(kind, schedule, detector))
+    assert abs(row.log_ratio_correction - log_ratio) <= (
         row.abs_error / row.value
-    ), (row, ref)
-    assert abs(row.value - ref.value) <= row.abs_error + math.ulp(ref.value), (row, ref)
+    ), (row, log_ratio)
+    assert abs(row.value - value) <= row.abs_error + math.ulp(value), (row, value)
+
+
+@pytest.mark.parametrize("kind", ["inertial", "accelerated"])
+def test_rm_string_prob_is_its_table_row(kind, schedule, detector):
+    for length in range(1, 9):
+        table = rm_string_table(length, fresh_model(kind, schedule, detector))
+        model = fresh_model(kind, schedule, detector)
+        for v, row in enumerate(table):
+            r = rm_string_prob(BitString.from_int(v, length), model)
+            assert (r.value, r.log_ratio_correction, r.abs_error) == (
+                row.value,
+                row.log_ratio_correction,
+                row.abs_error,
+            ), (length, v, r, row)
+
+
+@pytest.mark.parametrize(
+    "repetitions, length, match",
+    [(12, MAX_WINDOWS + 1, "MAX_WINDOWS"), (8, 9, "repetitions")],
+)
+def test_rm_string_prob_reach_is_checked_before_any_integral(
+    detector, repetitions, length, match
+):
+    # past the window limit inside the repetitions, and past the repetitions
+    model = fresh_model("inertial", default_schedule(repetitions=repetitions), detector)
+    with pytest.raises(ValueError, match=match):
+        rm_string_prob(BitString(bits=(1,) + (0,) * (length - 1)), model)
+    assert model._links == {}
 
 
 def test_table_pass_caches_every_subset(schedule, detector, monkeypatch):
