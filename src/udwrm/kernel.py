@@ -1,11 +1,13 @@
 """Detector worldlines and regularized two-point field correlators.
 
 Two stationary trajectories are supported: a detector at rest and one in
-uniform proper acceleration.  Both give a correlator depending only on the
-proper-time difference s; a small imaginary shift (the cut-off ``epsilon``
-that every call of ``WightmanKernel.value`` passes) keeps it finite at
-s = 0.  Quadrature extrapolates it to zero; it is not the weak-coupling
-parameter used elsewhere.
+uniform proper acceleration.  Both give a correlator K depending only on the
+proper-time difference s, singular on the imaginary axis only: at s = 0, and
+for the accelerated one at every multiple of 2 pi i / alpha.  The vacuum
+correlator is the boundary value K(s - i0); ``WightmanKernel.value(s, eps)``
+is K(s - i eps) itself, the correlator on the line eps below the real axis,
+where ``q_direct`` integrates.  ``WightmanKernel.limit`` is K on the real
+axis away from 0.
 """
 
 from __future__ import annotations
@@ -59,21 +61,22 @@ class WightmanKernel:
     worldline: Worldline
 
     def value(self, s, epsilon: float):
-        """Regularized correlator at proper-time difference s (complex), at
-        cut-off epsilon.
+        """The correlator at z = s - i epsilon, for real s (complex).
 
-        Inertial: -1/(4 pi^2) (s - i eps)^-2.
-        Accelerated: -a^2/(16 pi^2) sinh^-2(a s / 2 - i a eps).
+        Inertial: -1/(4 pi^2) z^-2.
+        Accelerated: -a^2/(16 pi^2) sinh^-2(a z / 2), finite for
+        0 < epsilon < 2 pi / a.
         """
         if epsilon <= 0:
             raise ValueError("epsilon must be > 0")
-        s = np.asarray(s, dtype=float)
+        z = np.asarray(s, dtype=float) - 1j * epsilon
         if self.worldline.kind == "inertial":
-            z = s - 1j * epsilon
             return -1.0 / (TWO_PI**2) / (z * z)
         a = self.worldline.alpha
-        sh = np.sinh(0.5 * a * s - 1j * a * epsilon)
-        return -(a**2) / (4.0 * TWO_PI**2) / (sh * sh)
+        # sinh^-2(x) = 4 e^-2x / (1 - e^-2x)^2 is even; at Re x >= 0 this form
+        # neither overflows far out nor loses digits near 0
+        x = 0.5 * a * np.where(z.real < 0.0, -z, z)
+        return -(a**2) / (TWO_PI**2) * np.exp(-2.0 * x) / np.expm1(-2.0 * x) ** 2
 
     def limit(self, s):
         """Unregularized correlator at s != 0 (real, negative)."""

@@ -1,15 +1,15 @@
-"""Excitation probabilities: closed forms, regularized quadrature, and the
+"""Excitation probabilities: closed forms, contour quadrature, and the
 history-dependent conditional probabilities built from cross-interval
 correlation integrals.
 
 The single-window probability q comes either from closed forms (infinite
-interaction time, Gaussian envelope) or from direct quadrature of the
-regularized correlator with cut-off extrapolation.  Multi-window corrections
-are dimensionless fractions: each cross-interval pairing pattern contributes
-a 2k-dimensional integral, normalized by the k-th power of the single-window
-response.  Conditional probabilities divide two such correction sums, and are
-always handled as ratios to q so that corrections far below double-precision
-absolute resolution stay meaningful.
+interaction time, Gaussian envelope) or from direct quadrature on a line
+below the real axis.  Multi-window corrections are dimensionless fractions:
+each cross-interval pairing pattern contributes a 2k-dimensional integral,
+normalized by the k-th power of the single-window response.  Conditional
+probabilities divide two such correction sums, and are always handled as
+ratios to q so that corrections far below double-precision absolute
+resolution stay meaningful.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ class HistoryRecord:
 
 
 class QuadratureError(RuntimeError):
-    """Cut-off extrapolation or integral refinement failed to converge."""
+    """An integral's refinement failed to converge."""
 
 
 class BoundViolationError(RuntimeError):
@@ -121,8 +121,9 @@ def q_closed_inertial(d: DetectorParams, sigma: float) -> ProbabilityResult:
 #: successive sums agree to the roundoff floor.
 PANEL_ORDERS = (16, 32, 64, 128)
 #: Roundoff floor of a quadrature or correction sum, in units of
-#: eps * sum |term|.  Repeated correction sums at different resolutions
-#: scatter over 55-140 units.
+#: eps * sum |term|.  Correction sums at resolutions 48 and 96 scatter over
+#: up to 155 units (median 10) of their |M| |C| sums, sampled over
+#: w in [0.05, 2], sigma in [0.5, 3], alpha sigma up to 3, t_off_factor 2-20.
 ROUNDOFF_UNITS = 256.0
 
 
@@ -216,104 +217,68 @@ def q_closed_accelerated(d: DetectorParams, sigma: float, alpha: float) -> Proba
     )
 
 
-def _overlap_function(sched: RepetitionSchedule, truncated: bool):
-    """Auto-correlation of the window profile: G(s) = int chi(u) chi(u-s) du,
-    vectorized over s; returns (G, the largest s at which it is needed).
-
-    With ``truncated`` the integral runs over window 0's interaction
-    interval [0, t_on], where the Gaussian of width sigma is cut at
-    h = 4 sigma = t_on / 2, the window's half-length; completing the square
-    gives it in closed form,
-
-        G(s) = sigma sqrt(pi) exp(-s^2 / 4 sigma^2) erf(max(h - s/2, 0) / sigma),
-
-    up to s = t_on.  Otherwise the Gaussian's tails are kept and the overlap
-    runs over the whole line (the closed forms' convention): the same
-    without the erf factor.
-    """
-    sig = sched.sigma
-    h = 4.0 * sig
-
-    def overlap(s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        full = sig * math.sqrt(math.pi) * np.exp(-s * s / (4.0 * sig**2))
-        if not truncated:
-            return full
-        # numpy has no erf: a few thousand nodes per call go through math.erf
-        cut = (np.maximum(h - 0.5 * s, 0.0) / sig).ravel()
-        erf = np.fromiter(map(math.erf, cut.tolist()), float, cut.size)
-        return full * erf.reshape(s.shape)
-
-    return overlap, sched.t_on if truncated else 14.0 * sig
-
-
-def _richardson(values: list[float]) -> tuple[float, float]:
-    """Neville extrapolation to zero cut-off for a halving sequence."""
-    table = [list(values)]
-    n = len(values)
-    for m in range(1, n):
-        prev = table[-1]
-        table.append(
-            [(2**m * prev[j + 1] - prev[j]) / (2**m - 1) for j in range(n - m)]
-        )
-    best = table[-1][0]
-    alt = table[-2][0] if n >= 2 else best
-    return best, abs(best - alt)
-
-
-#: The regulator cut-offs of ``q_direct``: CUTOFF_START / 2^j for
-#: j < CUTOFF_LEVELS, extrapolated to zero.  The extrapolation is rejected
-#: when its spread exceeds 10 EXTRAPOLATION_REL_TOL times the value.
-CUTOFF_START = 0.1
-CUTOFF_LEVELS = 5
-EXTRAPOLATION_REL_TOL = 1e-6
-
-
 def q_direct(
     kern: WightmanKernel,
     sched: RepetitionSchedule,
     d: DetectorParams,
     *,
-    truncated: bool = True,
+    truncated: bool = False,
 ) -> ProbabilityResult:
-    """Single-window excitation probability by regularized quadrature.
+    """Single-window excitation probability by direct quadrature, with the
+    switching profile's Gaussian tails kept (the closed forms' convention).
 
-    2 lam^2 int du int ds chi(u) chi(u-s) Re[exp(-i w s) W_eps(s)] over
-    window 0, reduced to one dimension through the window auto-correlation
-    G(s), for the Gaussian cut at h = 4 sigma the closed form
-    sigma sqrt(pi) exp(-s^2 / 4 sigma^2) erf(max(h - s/2, 0) / sigma)
-    (see _overlap_function), evaluated on the fixed cut-off sequence
-    CUTOFF_START / 2^j, j < CUTOFF_LEVELS, and extrapolated to zero.  Each level is a
-    Gauss-Legendre panel rule on the geometric panels [0, eps], [eps, 2 eps],
-    [2 eps, 4 eps], ..., which resolve the correlator's pole at s = i eps
-    (see _panel_quadrature).  The error is the extrapolation spread plus
-    the levels' own quadrature errors carried through it; the latter
-    dominate where q is exponentially small.
+    q = lam^2 int ds G(s) exp(-i w s) K(s - i0) over the real line, with
+    G(s) = sigma sqrt(pi) exp(-s^2 / 4 sigma^2) the profile's
+    auto-correlation.  G is entire and K is singular only on the imaginary
+    axis, at 0 and, when accelerated, at the multiples of 2 pi i / alpha, so
+    the integral moves onto the line s = t - i eta.  There
+    G(s) exp(-i w s) = sigma sqrt(pi) exp((eta^2 - t^2) / 4 sigma^2 - w eta
+    + i t (eta / 2 sigma^2 - w)): at eta = 2 w sigma^2 it does not
+    oscillate, so its terms do not cancel.  eta takes that value, kept at
+    least d = min(sigma, pi / 2 alpha) from the poles at 0 and
+    -2 pi i / alpha; where the latter moves it, the terms cancel in part
+    and the roundoff floor grows.
 
-    ``truncated=False`` keeps the profile's tails (infinite-interaction
-    reference mode, directly comparable to the closed forms).
+    No pole lies within d of the line and the integrand is conjugate-even
+    in t, so the trapezoid rule with step h = d / 6 converges geometrically
+    (Trefethen & Weideman, SIAM Rev. 56 (2014) 385): the sum runs over
+    t >= 0, weight 1/2 at t = 0, doubled, until the Gaussian and the
+    accelerated correlator's e^(-alpha t) have fallen e^-40 below q's
+    scale.  The value is the sum at step h / 2; the error is its
+    difference from the sum at step h plus the ROUNDOFF_UNITS floor.
+
+    ``truncated=True``, the Gaussian cut at the window's ends, raises
+    ``ValueError``: the cut puts a kink in G at s = 0, G'(0+) = -e^-16, and
+    the integral diverges like log(1/eps) as the regulator eps -> 0.
     """
-    overlap, s_max = _overlap_function(sched, truncated)
-
-    def level_value(eps: float) -> tuple[float, float]:
-        def f(s: np.ndarray) -> np.ndarray:
-            return overlap(s) * np.real(np.exp(-1j * d.omega * s) * kern.value(s, eps))
-
-        value, error = _panel_quadrature(f, _geometric_edges(eps, s_max))
-        return 2.0 * value, 2.0 * error
-
-    values, errors = zip(*(level_value(CUTOFF_START / 2**j) for j in range(CUTOFF_LEVELS)))
-    best, err = _richardson(values)
-    if not math.isfinite(best) or (best != 0.0 and err > 10 * EXTRAPOLATION_REL_TOL * abs(best)):
-        raise QuadratureError(
-            f"cut-off extrapolation unstable: value {best:g}, spread {err:g}, "
-            f"levels {list(values)}"
+    if truncated:
+        raise ValueError(
+            "truncated=True has no eps -> 0 limit: the cut Gaussian's overlap has a "
+            "kink at s = 0 (G'(0+) = -e^-16), so the regulated integral diverges like "
+            "log(1/eps) (sudden switching)"
         )
-    # each Neville step at most multiplies the levels' errors by (2^m + 1) / (2^m - 1)
-    carried = max(errors) * math.prod((2**m + 1) / (2**m - 1) for m in range(1, CUTOFF_LEVELS))
-    value = d.lam**2 * best
+    w, sig = d.omega, sched.sigma
+    alpha = kern.worldline.alpha or 0.0
+    pole = 2.0 * math.pi / alpha if alpha else math.inf
+    dist = min(sig, 0.25 * pole)
+    eta = min(max(2.0 * w * sig**2, dist), pole - dist)
+    step = dist / 6.0
+    # t_max^2 / 4 sigma^2 + alpha t_max = budget: there the Gaussian and the
+    # accelerated correlator's e^(-alpha t) have fallen e^-40 below
+    # exp(-w^2 sigma^2), q's scale
+    budget = 40.0 + ((2.0 * w * sig**2 - eta) / (2.0 * sig)) ** 2
+    t_max = 2.0 * budget / (math.sqrt(alpha**2 + budget / sig**2) + alpha)
+    t = np.arange(math.ceil(2.0 * t_max / step) + 1) * (0.5 * step)
+    exponent = (eta**2 - t * t) / (4.0 * sig**2) - w * eta + 1j * t * (eta / (2.0 * sig**2) - w)
+    f = np.real(sig * math.sqrt(math.pi) * np.exp(exponent) * kern.value(t, eta))
+    f[0] *= 0.5
+    fine = step * math.fsum(f)
+    coarse = 2.0 * step * math.fsum(f[::2])
+    floor = ROUNDOFF_UNITS * float(np.finfo(float).eps) * step * math.fsum(np.abs(f))
     return ProbabilityResult(
-        value=value, abs_error=d.lam**2 * (err + carried), method="quadrature"
+        value=d.lam**2 * fine,
+        abs_error=d.lam**2 * (abs(fine - coarse) + floor),
+        method="quadrature",
     )
 
 
@@ -339,15 +304,21 @@ def _chebyshev_basis(p: int, t_on: float, x) -> np.ndarray:
     """Lagrange basis of the p Chebyshev (first-kind) nodes on [0, t_on],
     evaluated at x: shape (len(x), p).
 
-    Uses the discrete orthogonality of T_k on the nodes, so no node or
-    evaluation point can hit a zero denominator.
+    The barycentric formula l_j(x) = (w_j / (x - x_j)) / sum_k w_k / (x - x_k)
+    with w_j = (-1)^j sin theta_j, which is forward stable on these nodes
+    (Higham, IMA J. Numer. Anal. 24 (2004) 547); at a node the basis is the
+    unit vector.
     """
     theta = (np.arange(p) + 0.5) * math.pi / p
-    k = np.arange(p)
-    at_nodes = np.cos(np.outer(theta, k))
-    at_nodes[:, 0] *= 0.5
-    phi = np.arccos(np.clip(2.0 * np.asarray(x, dtype=float) / t_on - 1.0, -1.0, 1.0))
-    return (2.0 / p) * np.cos(np.outer(phi, k)) @ at_nodes.T
+    weights = (-1.0) ** np.arange(p) * np.sin(theta)
+    diff = np.asarray(x, dtype=float)[:, None] - _chebyshev_nodes(p, t_on)
+    at_node = diff == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = weights / diff
+        basis = ratio / ratio.sum(axis=1, keepdims=True)
+    hit = at_node.any(axis=1)
+    basis[hit] = at_node[hit]
+    return basis
 
 
 def _chebyshev_nodes(p: int, t_on: float) -> np.ndarray:
@@ -416,7 +387,7 @@ class ResponseModel:
         self._calq = calQ(kern, sched, detector)
         self._f_cache: dict[tuple[int, ...], tuple[float, float]] = {}
         self._moments: dict[int, np.ndarray] = {}
-        self._links: dict[tuple[int, int, int], np.ndarray] = {}
+        self._links: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def q(self) -> float:
@@ -430,12 +401,22 @@ class ResponseModel:
         """Correction fraction over a set of windows: sum of all pairing
         integrals divided by the matching power of the single-window response.
 
-        A cache read by gap signature; a miss runs ``_subset_fractions`` on
-        the window set, which caches every subset of it as well.
+        The windows are distinct integer indices below the repetitions,
+        checked before any integral.  A cache read by gap signature; a miss
+        runs ``_subset_fractions`` on the window set, which caches every
+        subset of it as well.
         """
-        labels = tuple(sorted(intervals))
+        windows = tuple(intervals)
+        if not all(is_integer(w) for w in windows):
+            raise ValueError(f"windows must be integer indices, got {windows!r}")
+        labels = tuple(sorted(windows))
         if len(labels) < 2:
             raise ValueError("need at least two intervals")
+        if len(set(labels)) < len(labels):
+            raise ValueError(f"windows must be distinct, got {windows!r}")
+        reps = self.schedule.repetitions
+        if labels[0] < 0 or labels[-1] >= reps:
+            raise ValueError(f"windows must lie in [0, {reps}) (the repetitions), got {windows!r}")
         gaps = tuple(lab - labels[0] for lab in labels)
         if gaps not in self._f_cache:
             self._subset_fractions(gaps)
@@ -478,14 +459,15 @@ class ResponseModel:
         total = None
         for p in CHEB_RESOLUTIONS:
 
-            def link(a: int, side: int, b: int) -> np.ndarray:
-                return self._link(p, side, windows[a] - windows[b])
+            def link(a: int, side: int, b: int, bound: bool = False) -> np.ndarray:
+                return self._link(p, side, windows[a] - windows[b])[bound]
 
             prev, total = total, cycle_cover_sums(k, link)
             if prev is None:
                 continue
-            # the same sums over entrywise |link| bound sum |class value|
-            magnitude = cycle_cover_sums(k, lambda a, side, b: np.abs(link(a, side, b)))
+            # the same sums over the |M| |C| links bound sum |class value|,
+            # and the rounding of the correlator samples C carried through M
+            magnitude = cycle_cover_sums(k, lambda a, side, b: link(a, side, b, bound=True))
             change = np.abs(total - prev)
             # the absolute term keeps the floor above 0 where |link| sums underflow
             floor = ROUNDOFF_UNITS * (eps * magnitude + np.finfo(float).tiny)
@@ -505,18 +487,18 @@ class ResponseModel:
             f"p = {p}: last change {change[first]:g} against floor {floor[first]:g}"
         )
 
-    def _link(self, p: int, side: int, gap: int) -> np.ndarray:
+    def _link(self, p: int, side: int, gap: int) -> tuple[np.ndarray, np.ndarray]:
         """A window entered at endpoint ``side`` (M, or M^T from the earlier
         endpoint) times the correlator to the window ``gap`` repetitions
-        earlier: C[m, n] = K(T gap + x_m - x_n)."""
+        earlier, C[m, n] = K(T gap + x_m - x_n): (M C, |M| |C|)."""
         key = (p, side, gap)
         if key not in self._links:
             if p not in self._moments:
                 self._moments[p] = _window_moments(self.schedule, self.detector, p)
-            moments = self._moments[p]
+            moments = self._moments[p] if side == 0 else self._moments[p].T
             x = _chebyshev_nodes(p, self.schedule.t_on)
             corr = self.kernel.limit(self.schedule.t * gap + x[:, None] - x[None, :])
-            self._links[key] = (moments if side == 0 else moments.T) @ corr
+            self._links[key] = (moments @ corr, np.abs(moments) @ np.abs(corr))
         return self._links[key]
 
     def correction_sums(self, h: HistoryRecord) -> tuple[float, float, float]:

@@ -52,23 +52,6 @@ class RepetitionSchedule:
         t_on = self.t_on
         return t_on + self.t_off_factor * t_on
 
-    def interaction_interval(self, k: int) -> tuple[float, float]:
-        return (k * self.t, k * self.t + self.t_on)
-
-    def window_center(self, k: int) -> float:
-        return k * self.t + self.t_on / 2.0
-
-    def chi(self, tau):
-        """Repeated switching function: k-th profile inside window k, else 0."""
-        tau = np.asarray(tau, dtype=float)
-        t = self.t
-        k = np.floor(tau / t)
-        local = tau - k * t
-        in_grid = (k >= 0) & (k < self.repetitions)
-        on = in_grid & (local >= 0.0) & (local <= self.t_on)
-        out = np.where(on, self.chi_window(local), 0.0)
-        return out if out.ndim else float(out)
-
     def chi_window(self, x):
         """Profile in window-local coordinates x in [0, t_on]: the Gaussian
         exp(-y^2 / 2 sigma^2) at y = x - t_on / 2, zero where |y| >= 4 sigma."""

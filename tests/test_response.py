@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erfcx, zeta
@@ -38,14 +38,12 @@ from udwrm import (
 from udwrm.combinatorics import CONTRACTION_ENUM_MAX, MAX_WINDOWS
 from udwrm.response import (
     CHEB_RESOLUTIONS,
-    CUTOFF_LEVELS,
-    CUTOFF_START,
     ROUNDOFF_UNITS,
     QuadratureError,
+    _chebyshev_basis,
+    _chebyshev_nodes,
     _geometric_edges,
-    _overlap_function,
     _panel_quadrature,
-    _richardson,
     ratio_from_sums,
 )
 
@@ -138,9 +136,7 @@ def q_estimates(d, sigma, alpha):
 
 
 def quadrature_estimate(d, sigma, alpha):
-    direct = q_direct(
-        WightmanKernel(accelerated(alpha)), default_schedule(sigma=sigma), d, truncated=False
-    )
+    direct = q_direct(WightmanKernel(accelerated(alpha)), default_schedule(sigma=sigma), d)
     return direct.value, direct.abs_error
 
 
@@ -167,43 +163,58 @@ def test_q_closed_accelerated_error_covers_references(alpha, detector):
 def test_q_closed_accelerated_error_covers_references_property(omega, sigma, alpha):
     d = DetectorParams(omega=omega, lam=1e-2)
     estimates = q_estimates(d, sigma, alpha)
-    try:
-        estimates["quadrature"] = quadrature_estimate(d, sigma, alpha)
-    except QuadratureError:
-        # the cut-off extrapolation has no stable limit at sigma near 0.5,
-        # w sigma above about 4, or alpha CUTOFF_START near 1; the image sum then
-        # remains the independent reference
-        event("quadrature declined")
+    estimates["quadrature"] = quadrature_estimate(d, sigma, alpha)
     assert_errors_cover(estimates)
 
 
-def quad_reference(kern, sched, d, truncated):
-    """q_direct with adaptive QUADPACK levels, (value, abs_error).
+# the (w, sigma, worldline) corners: alpha None is the inertial worldline
+Q_GRID = [
+    (omega, sigma, alpha)
+    for omega in (0.05, 0.2, 1.0, 2.0)
+    for sigma in (0.5, 1.0, 2.25, 3.0)
+    for alpha in (None, 1e-3, 0.1, 1.0, 3.0, 10.0)
+] + [
+    (omega, sigma, alpha)
+    for omega in (3.0, 4.0)
+    for sigma in (2.25, 3.0)
+    for alpha in (None, 1e-3, 0.1, 1.0, 3.0, 10.0)
+]
 
-    Each cut-off level integrates the overlap-weighted correlator by two
-    scalar ``quad`` calls split at 100 eps, with the window overlap G(s)
-    from its own 240-node Gauss-Legendre rule per s (or the Gaussian's
-    closed form without truncation); the levels are extrapolated, and
-    their errors carried, as ``q_direct`` does.
+
+def test_q_direct_reaches_every_corner():
+    """q_direct returns on every corner, and agrees with the closed form
+    within the sum of their errors.  At w = 4, sigma = 3, alpha = 0.1 the
+    contour meets the pole cap (2 w sigma^2 = 72 > 2 pi / alpha) and q is
+    1.3e-66."""
+    assert len(Q_GRID) == 120
+    for omega, sigma, alpha in Q_GRID:
+        d = DetectorParams(omega=omega, lam=1e-2)
+        if alpha is None:
+            kern, ref = WightmanKernel(inertial()), q_closed_inertial(d, sigma)
+        else:
+            kern, ref = WightmanKernel(accelerated(alpha)), q_closed_accelerated(d, sigma, alpha)
+        r = q_direct(kern, default_schedule(sigma=sigma), d)
+        assert r.method == "quadrature"
+        assert abs(r.value - ref.value) <= r.abs_error + ref.abs_error, (omega, sigma, alpha, r, ref)
+
+
+def quad_reference(kern, sched, d):
+    """q by adaptive QUADPACK on the real line at the regulator cut-offs
+    eps = 0.1 / 2^j, j < 5, extrapolated to eps -> 0: (value, abs_error).
+
+    Each level integrates G(s) Re[exp(-i w s) K(s - i eps)], G the
+    untruncated Gaussian overlap, by two scalar ``quad`` calls split at
+    100 eps.  Neville extrapolation over the halving sequence; the error is
+    the spread of its last two estimates plus the levels' errors carried
+    through it, each step multiplying them by at most (2^m + 1) / (2^m - 1).
     """
-    lo, hi = sched.interaction_interval(0)
-    x, wts = np.polynomial.legendre.leggauss(240)
-    if truncated:
-        s_max = sched.t_on
-
-        def overlap(s):
-            u = 0.5 * (hi - lo - s) * x + 0.5 * (lo + s + hi)
-            return 0.5 * (hi - lo - s) * float(np.dot(wts, sched.chi(u) * sched.chi(u - s)))
-    else:
-        sig = sched.sigma
-        s_max = 14.0 * sig
-
-        def overlap(s):
-            return sig * math.sqrt(math.pi) * math.exp(-s * s / (4.0 * sig**2))
+    sig = sched.sigma
+    s_max = 14.0 * sig
 
     def level_value(eps):
         def f(s):
-            return overlap(s) * float(np.real(np.exp(-1j * d.omega * s) * kern.value(s, eps)))
+            overlap = sig * math.sqrt(math.pi) * math.exp(-s * s / (4.0 * sig**2))
+            return overlap * float(np.real(np.exp(-1j * d.omega * s) * kern.value(s, eps)))
 
         cut = min(s_max, 100.0 * eps)
         with warnings.catch_warnings():
@@ -212,54 +223,25 @@ def quad_reference(kern, sched, d, truncated):
             v2, e2 = quad(f, cut, s_max, limit=400, epsabs=1e-16, epsrel=1e-13)
         return 2.0 * (v1 + v2), 2.0 * (e1 + e2)
 
-    values, errors = zip(*(level_value(CUTOFF_START / 2**j) for j in range(CUTOFF_LEVELS)))
-    best, spread = _richardson(values)
-    carried = max(errors) * math.prod((2**m + 1) / (2**m - 1) for m in range(1, CUTOFF_LEVELS))
+    levels = 5
+    values, errors = zip(*(level_value(0.1 / 2**j) for j in range(levels)))
+    table = [list(values)]
+    for m in range(1, levels):
+        prev = table[-1]
+        table.append([(2**m * prev[j + 1] - prev[j]) / (2**m - 1) for j in range(levels - m)])
+    best, spread = table[-1][0], abs(table[-1][0] - table[-2][0])
+    carried = max(errors) * math.prod((2**m + 1) / (2**m - 1) for m in range(1, levels))
     return d.lam**2 * best, d.lam**2 * (spread + carried)
 
 
-@pytest.mark.parametrize("truncated", [True, False], ids=["truncated", "tails"])
-@pytest.mark.parametrize("alpha", [None, 0.1, 1.0, 5.0], ids=["inertial", "a0.1", "a1", "a5"])
-def test_q_direct_error_covers_quad_reference(alpha, truncated, schedule, detector):
+@pytest.mark.parametrize(
+    "alpha", [None, 0.1, 1.0, 5.0], ids=["inertial-tails", "a0.1-tails", "a1-tails", "a5-tails"]
+)
+def test_q_direct_error_covers_quad_reference(alpha, schedule, detector):
     kern = WightmanKernel(inertial() if alpha is None else accelerated(alpha))
-    r = q_direct(kern, schedule, detector, truncated=truncated)
-    ref, ref_err = quad_reference(kern, schedule, detector, truncated)
+    r = q_direct(kern, schedule, detector)
+    ref, ref_err = quad_reference(kern, schedule, detector)
     assert abs(r.value - ref) <= r.abs_error + ref_err, (r.value, ref, r.abs_error, ref_err)
-
-
-OVERLAP_SCHEDULES = {
-    "sigma0.5": default_schedule(sigma=0.5),
-    "sigma1": default_schedule(sigma=1.0),
-    "sigma2.25": default_schedule(sigma=2.25),
-}
-
-
-@pytest.mark.parametrize("name", OVERLAP_SCHEDULES)
-def test_truncated_overlap_matches_gauss_legendre(name):
-    """The closed-form overlap against a 240-node Gauss-Legendre integral of
-    chi(u) chi(u - s) over the interval where both factors are nonzero."""
-    sched = OVERLAP_SCHEDULES[name]
-    sig, h, t_on = sched.sigma, 4.0 * sched.sigma, sched.t_on
-    c = t_on / 2.0
-    x, wts = np.polynomial.legendre.leggauss(240)
-
-    def reference(s):
-        lo, hi = c - h + s, c + h
-        if hi <= lo:
-            return 0.0
-        u = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-        return 0.5 * (hi - lo) * float(np.dot(wts, sched.chi(u) * sched.chi(u - s)))
-
-    s = np.array(
-        [0.0, 1e-9, 0.3 * h, h, 1.7 * h, 2.0 * h - 1e-6 * sig, t_on, t_on + 1.0]
-    )
-    overlap, s_max = _overlap_function(sched, truncated=True)
-    assert s_max == t_on
-    got = overlap(s)
-    assert got.shape == s.shape
-    ref = np.array([reference(v) for v in s])
-    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-14 * sig * math.sqrt(math.pi))
-    assert not np.any(got[s >= 2.0 * h])
 
 
 def test_panel_quadrature_raises_when_orders_run_out():
@@ -271,16 +253,19 @@ def test_panel_quadrature_raises_when_orders_run_out():
 
 
 def test_q_direct_matches_closed_form(inertial_kernel, schedule, detector):
-    r = q_direct(inertial_kernel, schedule, detector, truncated=False)
+    r = q_direct(inertial_kernel, schedule, detector)
     ref = q_closed_inertial(detector, 1.0).value
     assert abs(r.value - ref) / ref < 1e-8
 
 
-def test_q_direct_truncated_mode_close(inertial_kernel, schedule, detector):
-    r = q_direct(inertial_kernel, schedule, detector)
-    ref = q_closed_inertial(detector, 1.0).value
-    # window truncation shifts the value at the 1e-5 relative level
-    assert abs(r.value - ref) / ref < 1e-4
+def test_q_direct_truncated_mode_raises(inertial_kernel, schedule, detector):
+    # the cut Gaussian's overlap has a kink at s = 0, so the regulated
+    # integral has no eps -> 0 limit
+    with pytest.raises(ValueError, match="diverges like log"):
+        q_direct(inertial_kernel, schedule, detector, truncated=True)
+    assert q_direct(inertial_kernel, schedule, detector, truncated=False) == q_direct(
+        inertial_kernel, schedule, detector
+    )
 
 
 def test_calq_strips_coupling(inertial_kernel, schedule, detector):
@@ -394,6 +379,34 @@ def test_f_fraction_triple_is_negative(full_model):
     assert val < 0
 
 
+@pytest.mark.parametrize(
+    "windows, message",
+    [
+        ((0, 1.5), "integer"),
+        ((0, True), "integer"),
+        ((0, 100), r"\[0, 8\)"),
+        ((-3, -2), r"\[0, 8\)"),
+        ((0, 0), "distinct"),
+    ],
+    ids=["half-period", "bool", "past-the-schedule", "negative", "repeated"],
+)
+def test_f_fraction_rejects_bad_windows_before_any_integral(
+    windows, message, inertial_kernel, schedule, detector, monkeypatch
+):
+    model = ResponseModel(inertial_kernel, schedule, detector)
+
+    def no_integral(windows):
+        raise AssertionError(f"an integral ran on {windows}")
+
+    monkeypatch.setattr(model, "_subset_fractions", no_integral)
+    with pytest.raises(ValueError, match=message):
+        model.f_fraction(windows)
+
+
+def test_f_fraction_accepts_numpy_integer_windows(full_model):
+    assert full_model.f_fraction(np.array([3, 4])) == full_model.f_fraction((0, 1))
+
+
 def test_conditional_excitation_near_q(full_model):
     r = full_model.conditional_excitation(HistoryRecord(excitations=(0,), query=1))
     assert r.value == pytest.approx(full_model.q, rel=1e-3)
@@ -474,6 +487,24 @@ def test_f_fraction_error_covers_reference(kind, gaps, full_model, full_accelera
     assert abs(val - ref) <= err, (val, ref, err)
 
 
+@pytest.mark.parametrize(
+    "omega, sigma, alpha", [(2.0, 1.25, 2.4), (1.0, 2.0, 1.5)], ids=["w2-a2.4", "w1-a1.5"]
+)
+def test_f_fraction_error_covers_reference_at_fast_decay(omega, sigma, alpha):
+    # alpha sigma = 3 and T_off = 2 T_on: the correlator falls by e^-48
+    # across a window pair, so an ulp of a basis value or of a correlator
+    # sample, carried through the moments, is 1e-12 of the fraction
+    model = ResponseModel(
+        WightmanKernel(accelerated(alpha)),
+        default_schedule(sigma=sigma, repetitions=4, t_off_factor=2.0),
+        DetectorParams(omega=omega, lam=1e-2),
+    )
+    val, err = model.f_fraction((0, 1))
+    for order in (48, 64):
+        ref = reference_fraction(model, (0, 1), order=order)
+        assert abs(val - ref) <= err, (order, val, ref, err)
+
+
 @settings(max_examples=8, deadline=None, derandomize=True)
 @given(
     omega=st.floats(0.05, 2.0),
@@ -533,7 +564,7 @@ def class_value(model, cls, p):
             window, side = entry
             seen.add(window)
             entry = partner[(window, 1 - side)]
-            link = model._link(p, side, window - entry[0])
+            link, _ = model._link(p, side, window - entry[0])
             product = link if product is None else product @ link
             if entry == start:
                 break
@@ -573,6 +604,17 @@ def test_f_fraction_reflection_symmetry(gaps, full_model):
     # reversing time maps one window set onto the other
     (a, ea), (b, eb) = (full_model.f_fraction(g) for g in gaps)
     assert abs(a - b) <= ea + eb, (a, b, ea + eb)
+
+
+@pytest.mark.parametrize("p", CHEB_RESOLUTIONS)
+def test_chebyshev_basis_interpolates(p):
+    # the unit vectors at the nodes, and x^5 reproduced at points between
+    t_on = 8.0
+    nodes = _chebyshev_nodes(p, t_on)
+    np.testing.assert_array_equal(_chebyshev_basis(p, t_on, nodes), np.eye(p))
+    x = np.linspace(0.0, t_on, 41)
+    got = _chebyshev_basis(p, t_on, x) @ (nodes / t_on) ** 5
+    np.testing.assert_allclose(got, (x / t_on) ** 5, rtol=0.0, atol=1e-14)
 
 
 def test_f_fraction_refines_fast_decaying_correlator(schedule, detector):
