@@ -12,7 +12,13 @@ what depends on another value.
 
 Every CSV starts with a comment line recording the SHA-256 of the canonical
 config, the seed and the package version, followed by a header row; floats carry 17 significant
-digits so reruns are byte-identical.
+digits so reruns are byte-identical.  The CSV is csv.writer's excel dialect,
+written a block of rows at a time: consecutive rows of ints and floats with
+one type signature take one %-format per block, any other row is quoted
+field by field.
+
+``main`` may be called many times in one process (the benchmark does): the
+parser is built on the first call and reused.
 """
 
 from __future__ import annotations
@@ -80,6 +86,34 @@ def _csv_line(row) -> str:
     return ('""' if line == "" and len(row) == 1 else line) + "\r\n"
 
 
+# the %-format of each numeric field type; none of them is ever quoted
+_NUMERIC_SPEC = {float: "%.16e", np.float64: "%.16e", int: "%s", np.int64: "%s"}
+# rows per block of _csv_text: big enough that a block's %-format costs
+# little per field, small enough that no whole table is held as one string
+_BLOCK_ROWS = 256
+
+
+@functools.cache
+def _block_line(types: tuple) -> str | None:
+    """The %-format of one record whose fields have these types, or None
+    where a field is not numeric or the row has fewer than two fields."""
+    if len(types) < 2 or not all(t in _NUMERIC_SPEC for t in types):
+        return None
+    return ",".join(map(_NUMERIC_SPEC.__getitem__, types)) + "\r\n"
+
+
+def _csv_text(rows):
+    """The records of ``rows`` as _csv_line writes them, in strings of at
+    most _BLOCK_ROWS records: each block of consecutive numeric rows with
+    one type signature takes one %-format, any other row its _csv_line."""
+    for line, group in itertools.groupby(rows, lambda row: _block_line(tuple(map(type, row)))):
+        if line is None:
+            yield from map(_csv_line, group)
+            continue
+        while block := list(itertools.islice(group, _BLOCK_ROWS)):
+            yield (line * len(block)) % tuple(itertools.chain.from_iterable(block))
+
+
 def _config_hash(config: dict) -> str:
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
@@ -91,7 +125,7 @@ def _emit(header, rows, args, config) -> None:
     try:
         if args.format == "csv":
             out.write(f"# {meta}\n")
-            out.writelines(map(_csv_line, itertools.chain([header], rows)))
+            out.writelines(_csv_text(itertools.chain([header], rows)))
         else:
             json.dump(
                 {
@@ -353,7 +387,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    one in the process."""
     parser = argparse.ArgumentParser(
         prog="udwrm",
         description="Repeated-measurement statistics for Unruh-DeWitt detectors",

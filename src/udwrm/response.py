@@ -103,18 +103,39 @@ class BoundViolationError(RuntimeError):
     """A correction denominator left (0, inf); quadrature is untrustworthy."""
 
 
+#: Levels of erfc's continued fraction in q_closed_inertial: from x = 2 on,
+#: 80 levels agree with the infinite fraction to below eps.
+_ERFC_CF_LEVELS = 80
+
+
 def q_closed_inertial(d: DetectorParams, sigma: float) -> ProbabilityResult:
     """Infinite-interaction-time excitation probability, detector at rest.
 
-    (lam^2 / 4 pi) [exp(-w^2 s^2) - w s Gamma(1/2, w^2 s^2)] with the upper
-    incomplete gamma written through erfc.
+    (lam^2 / 4 pi) [exp(-x^2) - x sqrt(pi) erfc(x)], x = w sigma (the upper
+    incomplete gamma Gamma(1/2, x^2) written through erfc).  Its two terms
+    cancel like 2 x^2, so from x = 2 on the bracket comes from erfc's
+    continued fraction (Abramowitz & Stegun 7.1.14) instead:
+    exp(-x^2) r / (x + r), r = (1/2) / (x + 1 / (x + (3/2) / (x + ...))),
+    with nothing left to cancel.
     """
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError(f"sigma must be a finite number > 0, got {sigma!r}")
     x = d.omega * sigma
-    bracket = math.exp(-x * x) - x * math.sqrt(math.pi) * math.erfc(x)
-    value = d.lam**2 / (4.0 * math.pi) * bracket
-    return ProbabilityResult(value, abs_error=abs(value) * 1e-14, method="closed_form")
+    if x < 2.0:
+        bracket = math.exp(-x * x) - x * math.sqrt(math.pi) * math.erfc(x)
+        value = d.lam**2 / (4.0 * math.pi) * bracket
+        return ProbabilityResult(value, abs_error=abs(value) * 1e-14, method="closed_form")
+    r = 0.0
+    for k in range(_ERFC_CF_LEVELS, 0, -1):
+        r = 0.5 * k / (x + r)
+    value = math.exp(-x * x) * (d.lam**2 / (4.0 * math.pi) * r / (x + r))
+    # the roundings of w sigma and of x^2 move the exponent by up to
+    # 1.5 eps x^2; where exp(-x^2) is subnormal (x > 26.6) it carries an
+    # absolute error of a few units of the smallest subnormal (past
+    # x = 1.3e154, x^2 overflows and the value is 0)
+    rel_error = 1e-14 + 2.0 * float(np.finfo(float).eps) * x * x
+    abs_error = (value * rel_error if value else 0.0) + 4.0 * math.ulp(0.0)
+    return ProbabilityResult(value, abs_error=abs_error, method="closed_form")
 
 
 #: Gauss-Legendre orders per panel of a q integral, tried in turn until two

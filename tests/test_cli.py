@@ -128,6 +128,7 @@ def test_bayes_trace(tmp_path, capsys):
 
 def test_csv_rows_match_csv_writer(tmp_path):
     header = ["float", "numpy", "int", "bool"]
+    long_run = cli._BLOCK_ROWS * 2 + 3
     rows = [
         [0.1, np.float64(1.0 / 3.0), 7, True],
         [-0.0, np.float64("nan"), float("inf"), np.float64("-inf")],
@@ -135,9 +136,24 @@ def test_csv_rows_match_csv_writer(tmp_path):
         ["", 'a, "quoted"\nline', "a\rb", "plain"],
         [""],
         [],
+        # numeric runs, one longer than a block, whose type signature
+        # switches mid-table, and numeric rows broken by other rows
+        *([n, n / 7.0, float(n) ** 0.5] for n in range(long_run)),
+        *([n / 3.0, n] for n in range(5)),
+        *([np.int64(n), np.float64(-n / 9.0), n] for n in range(cli._BLOCK_ROWS + 1)),
+        [1, 2.0, True],
+        [np.int64(-3), np.int64(4)],
+        [5],
+        [2.5],
+        [],
+        [1, 2],
+        [np.float32(0.1), 1.0],
+        [1.0, 2.0, None],
     ]
     path = tmp_path / "table.csv"
-    cli._emit(header, iter(rows), SimpleNamespace(out=str(path), format="csv", seed=0), {})
+    # the rows arrive as a generator, as the bayes table's do
+    args = SimpleNamespace(out=str(path), format="csv", seed=0)
+    cli._emit(header, (row for row in rows), args, {})
     meta, _, table = path.read_bytes().partition(b"\n")
     assert meta.startswith(b"# config_sha256=")
     buf = io.StringIO(newline="")
@@ -146,6 +162,49 @@ def test_csv_rows_match_csv_writer(tmp_path):
         writer.writerow([format(v, ".16e") if isinstance(v, float) else str(v) for v in row])
     assert table == buf.getvalue().encode()
     assert b'"a, ""quoted""\nline","a\rb"' in table
+    assert b"\r\n1,2.0000000000000000e+00,True\r\n" in table
+
+
+def test_parser_is_reused_across_calls(tmp_path, capsys):
+    """One process: an argparse error, a config error, then every
+    subcommand on the README config; each exit status, stderr and output
+    file matches a fresh ``python -m udwrm.cli`` run of the same argv."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    (config,) = re.findall(r"```json\n(.*?)```", open(readme).read(), re.S)
+    good = tmp_path / "readme.json"
+    good.write_text(config)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"bounds": {"q": 2}}))
+    calls = [
+        ("argparse-error", ["bounds", "--config", str(good), "--format", "xml"]),
+        ("config-error", ["bounds", "--config", str(bad)]),
+    ]
+    calls += [
+        (command, [command, "--config", str(good)])
+        for command in ("transition", "string-probs", "bounds", "bayes", "oracle", "combinatorics")
+    ]
+    src = os.path.dirname(os.path.dirname(udwrm.__file__))
+    cli.build_parser.cache_clear()  # the first call below builds it
+    for name, argv in calls:
+        argv = [*argv, "--out", str(tmp_path / f"{name}.in-process")]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        fresh = [*argv[:-1], str(tmp_path / f"{name}.fresh")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "udwrm.cli", *fresh],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert (code, err) == (proc.returncode, proc.stderr), name
+        assert code == (2 if name.endswith("error") else 0), name
+        if code == 0:
+            produced = (tmp_path / f"{name}.in-process").read_bytes()
+            assert produced == (tmp_path / f"{name}.fresh").read_bytes(), name
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_oracle_checks_pass(tmp_path, capsys):

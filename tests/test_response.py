@@ -54,6 +54,33 @@ def test_q_closed_inertial_value(detector):
     assert r.value > 0
 
 
+# q at lam = 0.01 to 40 digits, from mpmath 1.3.0 at 40 decimal digits on
+# the doubles w and sigma: (lam^2 / 4 pi) [exp(-x^2) - x sqrt(pi) erfc(x)]
+Q_INERTIAL_REFERENCES = [
+    (1.5, 1.3, "1.748343093750889407934750235190786163033e-8"),
+    (2.0, 1.0, "1.379475570621825214244110470170350526903e-8"),
+    (2.0, 2.25, "2.945175307297561381873277857787695656073e-16"),
+    (10.0, 1.0, "1.458505098649097337907189584756852624723e-51"),
+    (4.79, 3.77, "2.884256308150053143565119426150982545278e-150"),
+    (1.0, 26.5, "5.875476959380143026503641518142478592282e-314"),
+]
+
+
+@pytest.mark.parametrize(
+    "omega, sigma, reference",
+    Q_INERTIAL_REFERENCES,
+    ids=[f"x={w * s:.4g}" for w, s, _ in Q_INERTIAL_REFERENCES],
+)
+def test_q_closed_inertial_error_covers_40_digit_reference(omega, sigma, reference):
+    # the two terms of the bracket cancel like 2 x^2 at large x = w sigma
+    # (at w = 4.79, sigma = 3.77 by 1.4e-11 relative when subtracted)
+    r = q_closed_inertial(DetectorParams(omega=omega, lam=0.01), sigma)
+    ref = float(reference)
+    assert abs(r.value - ref) <= r.abs_error
+    # the bar stays near roundoff: 1e-14 plus the exponent's 2 eps x^2
+    assert r.abs_error <= ref * (1e-14 + 2.5 * np.finfo(float).eps * (omega * sigma) ** 2) + 1e-322
+
+
 def test_q_closed_inertial_scaling(detector):
     # lambda^2 prefactor
     strong = DetectorParams(omega=detector.omega, lam=2 * detector.lam)
