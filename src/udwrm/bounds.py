@@ -215,10 +215,9 @@ def tight_bounds(
         raise ValueError("q must lie in (0, 1)")
     loose = loose_bounds(n, q, gp.gamma)
     windows = h.excitations + (query,)
-    gammas = np.zeros((n, n))
-    for a, b in itertools.combinations(range(n), 2):
-        gammas[a, b] = gammas[b, a] = gp.pair(windows[a], windows[b])
-    covers = cycle_cover_sums(n, lambda a, _side, b: gammas[a : a + 1, b : b + 1])
+    # float links: the cycle-cover programme multiplies them as floats
+    gammas = [[gp.pair(i, j) if i != j else 0.0 for j in windows] for i in windows]
+    covers = cycle_cover_sums(n, lambda a, _side, b: gammas[a][b])
     totals = [0.0, 0.0]  # even, odd subsets of all windows
     history_totals = [0.0, 0.0]  # even, odd subsets of the history
     for subset, bound in enumerate(covers.tolist()[1:], start=1):

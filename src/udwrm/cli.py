@@ -158,6 +158,12 @@ def _int_in(lo: int, hi: float = math.inf):
     return lambda v: _is_int(v) and lo <= v <= hi
 
 
+def _is_bit_list(v) -> bool:
+    """A non-empty list of the integers 0 and 1, bools excluded: its types,
+    then its values, each gathered into a set in one pass."""
+    return isinstance(v, list) and len(v) > 0 and set(map(type, v)) <= {int} and set(v) <= {0, 1}
+
+
 _WORLDLINE_KINDS = ("inertial", "accelerated")
 _POSITIVE = (lambda v: _is_real(v) and v > 0, "a finite number > 0")
 _UNIT = (lambda v: _is_real(v) and 0.0 < v < 1.0, "a number in (0, 1)")
@@ -185,11 +191,7 @@ _CONFIG = {
         "n_max": (None, _int_in(1), "an integer >= 1"),
     },
     "bayes": {
-        "bits": (
-            None,
-            lambda v: isinstance(v, list) and len(v) > 0 and all(map(_int_in(0, 1), v)),
-            "a non-empty list of 0/1 integers",
-        ),
+        "bits": (None, _is_bit_list, "a non-empty list of 0/1 integers"),
         "chunk": (1, _int_in(1), "an integer >= 1"),
         "epsilon": (0.0, lambda v: _is_real(v) and v >= 0, "a number >= 0"),
         "step_corrections": (

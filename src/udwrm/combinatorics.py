@@ -23,6 +23,7 @@ entries swapped; the recurrence is authoritative here.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,14 +207,19 @@ def cycle_cover_sums(k: int, link) -> np.ndarray:
     W[C], the total weight of the cycles through exactly the intervals in C.
     The covers then follow F[0] = 1, F[S] = sum_{C ∋ min S} W[C] F[S - C].
     Returns F as an array indexed by the bit mask S; with unit 1x1 links
-    F[2^k - 1] = crossing_count(k).
+    F[2^k - 1] = crossing_count(k).  Python ``float`` links are multiplied
+    as floats, which gives the same values as 1x1 matrices without numpy's
+    per-call overhead.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     size = 1 << k
     weights = [0.0] * size
+    scalar = k > 1 and type(link(0, 0, 1)) is float
+    add, join = (operator.add, operator.mul) if scalar else (np.add, operator.matmul)
+    start = float if scalar else np.asarray
     step = {  # leaving an interval entered at either side
-        (a, b): np.add(link(a, 0, b), link(a, 1, b))
+        (a, b): add(link(a, 0, b), link(a, 1, b))
         for a in range(k)
         for b in range(k)
         if a != b
@@ -221,13 +227,14 @@ def cycle_cover_sums(k: int, link) -> np.ndarray:
     for s in range(k - 1):
         # paths[mask][c]: the summed link products of the paths from s
         # through the intervals of mask, ending at c
-        paths = {1 << s | 1 << b: {b: np.asarray(link(s, 0, b))} for b in range(s + 1, k)}
+        paths = {1 << s | 1 << b: {b: start(link(s, 0, b))} for b in range(s + 1, k)}
         for mask in range(size):
             for c, product in paths.pop(mask, {}).items():
-                weights[mask] += float(np.vdot(product, step[c, s].T))
+                back = step[c, s]
+                weights[mask] += product * back if scalar else float(np.vdot(product, back.T))
                 for b in range(s + 1, k):
                     if not mask >> b & 1:
-                        grown = product @ step[c, b]
+                        grown = join(product, step[c, b])
                         ends = paths.setdefault(mask | 1 << b, {})
                         ends[b] = ends[b] + grown if b in ends else grown
     covers = [1.0] + [0.0] * (size - 1)

@@ -23,7 +23,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .combinatorics import MAX_WINDOWS, cycle_cover_sums
-from .kernel import WightmanKernel
+from .kernel import TWO_PI, WightmanKernel
 from .schedule import RepetitionSchedule, is_integer
 
 WEAK_COUPLING_WARN = 0.1
@@ -96,7 +96,8 @@ class HistoryRecord:
 
 
 class QuadratureError(RuntimeError):
-    """An integral's refinement failed to converge."""
+    """An integral's refinement failed to converge, or its interpolation
+    needs more nodes than MAX_RESOLUTION."""
 
 
 class BoundViolationError(RuntimeError):
@@ -146,6 +147,8 @@ PANEL_ORDERS = (16, 32, 64, 128)
 #: up to 155 units (median 10) of their |M| |C| sums, sampled over
 #: w in [0.05, 2], sigma in [0.5, 3], alpha sigma up to 3, t_off_factor 2-20.
 ROUNDOFF_UNITS = 256.0
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 @functools.lru_cache(maxsize=None)
@@ -316,9 +319,78 @@ def calQ(kern: WightmanKernel, sched: RepetitionSchedule, d: DetectorParams) -> 
     return q.value / d.lam**2
 
 
-#: Chebyshev resolutions p of the cross-window correlators, tried in turn
-#: until two successive ones agree to the roundoff floor.
-CHEB_RESOLUTIONS = (12, 24, 48, 96)
+#: Most Chebyshev nodes p per window: a model whose correlator needs more
+#: raises QuadratureError before any correction integral.
+MAX_RESOLUTION = 96
+
+
+def _log_correlator_bound(kern: WightmanKernel, s) -> np.ndarray:
+    """log of a bound on |K(z)| over Re z = s > 0, taken in logs so that it
+    neither underflows nor overflows: inertial |K| = 1/(4 pi^2 |z|^2) and
+    |z| >= s; accelerated |K| = a^2/(16 pi^2 |sinh(a z/2)|^2) and
+    |sinh z| >= sinh Re z.  At real z = s it is log |K(s)|."""
+    s = np.asarray(s, dtype=float)
+    if kern.worldline.kind == "inertial":
+        return -2.0 * np.log(TWO_PI * s)
+    a = kern.worldline.alpha
+    x = 0.5 * a * s
+    # log sinh x = x - log 2 + log1p(-e^-2x)
+    return 2.0 * (math.log(0.5 * a / TWO_PI) - x + math.log(2.0) - np.log1p(-np.exp(-2.0 * x)))
+
+
+def _log_interpolation_bound(kern: WightmanKernel, sched: RepetitionSchedule, gap: int, orders):
+    """log of a bound on |K(T gap + x - y) - its p-node tensor Chebyshev
+    interpolant| over a window pair, x, y in [0, T_on], for each p in orders.
+
+    For each y, x -> K(T gap + x - y) is analytic for (2x - T_on) / T_on in
+    the Bernstein ellipse of parameter r while that keeps off K's
+    singularity at s = 0.  The ellipse's leftmost point, at y = T_on, is
+    s = T gap - T_on (1 + (r + 1/r) / 2) / 2, where |K| <= M(r), so the
+    p-node interpolant in x is within 4 M(r) r^(1 - p) / (r - 1) of it
+    (Trefethen, ATAP, Thm 8.2), and so is the one in y at fixed x.  As
+    f - I_x I_y f = (f - I_x f) + I_x (f - I_y f), the tensor interpolant is
+    within (1 + Lambda_p) times that, Lambda_p <= 1 + (2/pi) ln p the
+    Lebesgue constant of the p Chebyshev nodes.  The bound is minimized
+    over one grid of r - 1 in [1e-3, 1e3], the same for every gap, on the
+    points that keep s > 0 (inf where none does); a wider gap keeps all
+    the points of a narrower one.
+    """
+    r = 1.0 + np.geomspace(1e-3, 1e3, 512)
+    s = sched.t * gap - 0.5 * sched.t_on * (1.0 + 0.5 * (r + 1.0 / r))
+    r, s = r[s > 0.0], s[s > 0.0]
+    p = np.asarray(orders, dtype=float)[:, None]
+    lebesgue = 1.0 + 2.0 / math.pi * np.log(p)
+    log_bound = (
+        np.log(4.0 * (1.0 + lebesgue))
+        + _log_correlator_bound(kern, s)
+        - (p - 1.0) * np.log(r)
+        - np.log(r - 1.0)
+    )
+    return log_bound.min(axis=1, initial=np.inf)
+
+
+def _chebyshev_resolution(kern: WightmanKernel, sched: RepetitionSchedule) -> tuple[int, float]:
+    """(p, tau): the fewest Chebyshev nodes per window whose interpolation
+    bound on adjacent windows is at most eps kappa_1, kappa_g = |K(T g - T_on)|
+    the correlator's largest value on a window pair g apart, and tau that
+    bound over kappa_1.
+
+    kappa_1 is floored at the smallest normal double: below it every link
+    underflows, and tau is relative to the floor.  M(r) / kappa_g falls with
+    g for both kernels, so tau bounds the relative tail of every gap.  A
+    model that needs more than MAX_RESOLUTION nodes raises QuadratureError.
+    """
+    orders = np.arange(2, MAX_RESOLUTION + 1)
+    scale = max(float(_log_correlator_bound(kern, sched.t - sched.t_on)), math.log(_TINY))
+    log_tau = _log_interpolation_bound(kern, sched, 1, orders) - scale
+    (fits,) = np.nonzero(log_tau <= math.log(_EPS))
+    if not fits.size:
+        raise QuadratureError(
+            f"the correlator across adjacent windows (T / T_on = {sched.t / sched.t_on:g}) "
+            f"needs more than {MAX_RESOLUTION} Chebyshev nodes: the interpolation bound at "
+            f"p = {MAX_RESOLUTION} is {math.exp(log_tau[-1]):g} of the correlator"
+        )
+    return int(orders[fits[0]]), math.exp(log_tau[fits[0]])
 
 
 def _chebyshev_basis(p: int, t_on: float, x) -> np.ndarray:
@@ -347,15 +419,23 @@ def _chebyshev_nodes(p: int, t_on: float) -> np.ndarray:
     return 0.5 * t_on * (1.0 + np.cos(theta))
 
 
+def _moment_order(sched: RepetitionSchedule, d: DetectorParams, p: int) -> int:
+    """Gauss-Legendre nodes per axis of ``_window_moments``.  n nodes
+    integrate degree 2n - 1 exactly; the basis products have degree
+    2p - 1 with the Jacobian, the two cut Gaussians need about 48 more to
+    reach eps, and cos(w s) about w T_on / 2."""
+    return p + 24 + math.ceil(d.omega * sched.t_on / 4.0)
+
+
 def _window_moments(
     sched: RepetitionSchedule, d: DetectorParams, p: int
 ) -> np.ndarray:
     """M[m, n] = int_{u' <= u} 2 chi(u) chi(u') cos(w (u - u')) l_m(u) l_n(u').
 
     Stationarity gives every window the same matrix.  Tensor Gauss-Legendre
-    on (v, t) with u = v, u' = v - t v (Jacobian v); its order is tied to p.
+    on (v, t) with u = v, u' = v - t v (Jacobian v), of ``_moment_order``.
     """
-    x, w = _gauss_legendre(max(32, 2 * p))
+    x, w = _gauss_legendre(_moment_order(sched, d, p))
     v = 0.5 * sched.t_on * (x + 1.0)
     t = 0.5 * (x + 1.0)
     s = v[:, None] * t[None, :]
@@ -371,6 +451,13 @@ def _window_moments(
     earlier = _chebyshev_basis(p, sched.t_on, (v[:, None] - s).ravel())
     inner = np.einsum("ij,ijn->in", weight, earlier.reshape(len(v), len(t), p))
     return later.T @ inner
+
+
+def _window_weight(sched: RepetitionSchedule) -> float:
+    """W = int_{u' <= u} 2 chi(u) chi(u') = (int chi)^2, which bounds the
+    integral of a window's |weight| 2 chi chi |cos|: the Gaussian cut at
+    4 sigma integrates to sigma sqrt(2 pi) erf(2 sqrt 2)."""
+    return (sched.sigma * math.sqrt(TWO_PI) * math.erf(2.0 * math.sqrt(2.0))) ** 2
 
 
 class ResponseModel:
@@ -389,6 +476,11 @@ class ResponseModel:
     over all classes is a sum over cycle covers, which
     ``cycle_cover_sums`` evaluates by a subset dynamic programme over these
     link matrices, without listing the classes.
+
+    p is fixed per model, on its first correction pass, by a Bernstein
+    ellipse bound on the interpolation error (``_chebyshev_resolution``):
+    the fewest nodes at which it is below eps of the correlator across
+    adjacent windows.  Every fraction is evaluated at that one p.
     """
 
     def __init__(
@@ -407,8 +499,7 @@ class ResponseModel:
         self.detector = detector
         self._calq = calQ(kern, sched, detector)
         self._f_cache: dict[tuple[int, ...], tuple[float, float]] = {}
-        self._moments: dict[int, np.ndarray] = {}
-        self._links: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._links: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, float]] = {}
 
     @property
     def q(self) -> float:
@@ -417,6 +508,15 @@ class ResponseModel:
     @property
     def calq(self) -> float:
         return self._calq
+
+    @functools.cached_property
+    def _resolution(self) -> tuple[int, float]:
+        """(p, tau) of ``_chebyshev_resolution``, found on the first pass."""
+        return _chebyshev_resolution(self.kernel, self.schedule)
+
+    @functools.cached_property
+    def _moments(self) -> np.ndarray:
+        return _window_moments(self.schedule, self.detector, self._resolution[0])
 
     def f_fraction(self, intervals) -> tuple[float, float]:
         """Correction fraction over a set of windows: sum of all pairing
@@ -445,16 +545,23 @@ class ResponseModel:
 
     def _subset_fractions(self, windows) -> tuple[np.ndarray, np.ndarray]:
         """Correction fractions of every subset of a window set, from one
-        ``cycle_cover_sums`` pass per Chebyshev resolution.
+        ``cycle_cover_sums`` pass over the links at the model's resolution p.
 
         ``windows`` is strictly increasing; bit a of a mask stands for
         windows[a].  Returns (fraction, error) arrays indexed by mask, zero
         on masks of fewer than two windows.  A subset whose gap signature is
-        cached is read from the cache.  The others share one p-doubling
-        loop: each is accepted, and cached, at the first resolution where
-        its sum agrees with the previous one to its roundoff floor, the
-        error being their difference plus that floor (as for q).  More than
-        MAX_WINDOWS windows raise before any integral.
+        cached is read from the cache; the others are computed and cached.
+        The error of subset S, before the division by calQ^|S|, is
+
+        - the roundoff floor, ROUNDOFF_UNITS (eps F(|M| |C|)[S] + tiny), the
+          same pass over the |M| |C| links; and
+        - the interpolation tail, ((1 + tau)^|S| - 1) F(W kappa)[S], a scalar
+          pass over the links W kappa_g of ``_link``.  Each class integrates
+          |S| correlators against window weights of mass at most W; each
+          interpolant is within tau kappa_g of its correlator, whose modulus
+          is at most kappa_g.
+
+        More than MAX_WINDOWS windows raise before any integral.
         """
         k = len(windows)
         if k > MAX_WINDOWS:
@@ -476,50 +583,45 @@ class ResponseModel:
         if not pending:
             return values, errors
 
-        eps = float(np.finfo(float).eps)
-        total = None
-        for p in CHEB_RESOLUTIONS:
+        tau = self._resolution[1]
 
-            def link(a: int, side: int, b: int, bound: bool = False) -> np.ndarray:
-                return self._link(p, side, windows[a] - windows[b])[bound]
+        def link(a: int, side: int, b: int, part: int = 0):
+            return self._link(side, windows[a] - windows[b])[part]
 
-            prev, total = total, cycle_cover_sums(k, link)
-            if prev is None:
-                continue
-            # the same sums over the |M| |C| links bound sum |class value|,
-            # and the rounding of the correlator samples C carried through M
-            magnitude = cycle_cover_sums(k, lambda a, side, b: link(a, side, b, bound=True))
-            change = np.abs(total - prev)
-            # the absolute term keeps the floor above 0 where |link| sums underflow
-            floor = ROUNDOFF_UNITS * (eps * magnitude + np.finfo(float).tiny)
-            for gaps, masks in list(pending.items()):
-                first = masks[0]
-                if change[first] <= floor[first]:
-                    norm = self._calq ** len(gaps)
-                    result = (total[first] / norm, (change[first] + floor[first]) / norm)
-                    self._f_cache[gaps] = result
-                    values[masks], errors[masks] = result
-                    del pending[gaps]
-            if not pending:
-                return values, errors
-        gaps, (first, *_) = next(iter(pending.items()))
-        raise QuadratureError(
-            f"correction integrals over gaps {gaps} did not converge by "
-            f"p = {p}: last change {change[first]:g} against floor {floor[first]:g}"
-        )
+        total = cycle_cover_sums(k, link)
+        # the same sums over the |M| |C| links bound sum |class value|,
+        # and the rounding of the correlator samples C carried through M
+        magnitude = cycle_cover_sums(k, lambda a, side, b: link(a, side, b, 1))
+        # the absolute term keeps the floor above 0 where |link| sums underflow
+        floor = ROUNDOFF_UNITS * (_EPS * magnitude + _TINY)
+        reach = cycle_cover_sums(k, lambda a, side, b: link(a, side, b, 2))
+        for gaps, masks in pending.items():
+            first = masks[0]
+            tail = math.expm1(len(gaps) * math.log1p(tau)) * reach[first]
+            norm = self._calq ** len(gaps)
+            result = (total[first] / norm, (floor[first] + tail) / norm)
+            self._f_cache[gaps] = result
+            values[masks], errors[masks] = result
+        return values, errors
 
-    def _link(self, p: int, side: int, gap: int) -> tuple[np.ndarray, np.ndarray]:
+    def _link(self, side: int, gap: int) -> tuple[np.ndarray, np.ndarray, float]:
         """A window entered at endpoint ``side`` (M, or M^T from the earlier
         endpoint) times the correlator to the window ``gap`` repetitions
-        earlier, C[m, n] = K(T gap + x_m - x_n): (M C, |M| |C|)."""
-        key = (p, side, gap)
+        earlier, C[m, n] = K(T gap + x_m - x_n): (M C, |M| |C|, W kappa),
+        the last the tail's scalar link, kappa = |K(T |gap| - T_on)|
+        floored at tiny as in ``_chebyshev_resolution``."""
+        key = (side, gap)
         if key not in self._links:
-            if p not in self._moments:
-                self._moments[p] = _window_moments(self.schedule, self.detector, p)
-            moments = self._moments[p] if side == 0 else self._moments[p].T
-            x = _chebyshev_nodes(p, self.schedule.t_on)
-            corr = self.kernel.limit(self.schedule.t * gap + x[:, None] - x[None, :])
-            self._links[key] = (moments @ corr, np.abs(moments) @ np.abs(corr))
+            moments = self._moments if side == 0 else self._moments.T
+            sched = self.schedule
+            x = _chebyshev_nodes(self._resolution[0], sched.t_on)
+            corr = self.kernel.limit(sched.t * gap + x[:, None] - x[None, :])
+            kappa = abs(float(self.kernel.limit(sched.t * abs(gap) - sched.t_on)))
+            self._links[key] = (
+                moments @ corr,
+                np.abs(moments) @ np.abs(corr),
+                _window_weight(sched) * max(kappa, _TINY),
+            )
         return self._links[key]
 
     def correction_sums(self, h: HistoryRecord) -> tuple[float, float, float]:

@@ -462,6 +462,30 @@ def test_bad_bayes_config_exits_2_naming_the_key(tmp_path, capsys, monkeypatch, 
         assert out == ""
 
 
+def per_bit_check(v):
+    """The bits check as it was written per bit: an int, not a bool, in [0, 1]."""
+    return isinstance(v, list) and len(v) > 0 and all(
+        isinstance(b, int) and not isinstance(b, bool) and 0 <= b <= 1 for b in v
+    )
+
+
+@pytest.mark.parametrize(
+    "bits",
+    [[0, 1, 1], [1], [0, True], [0, 2], [0, -1], [0, 1.0], [0, []], [], [True], [2], [-1], [1.0]],
+)
+def test_bits_check_matches_the_per_bit_check(bits):
+    from udwrm.cli import ConfigError, _settings
+
+    config = {"bayes": {"bits": bits}}
+    if per_bit_check(bits):
+        assert _settings(config)["bayes"]["bits"] is bits
+    else:
+        message = f"bayes.bits must be a non-empty list of 0/1 integers, got {bits!r}"
+        with pytest.raises(ConfigError) as info:
+            _settings(config)
+        assert str(info.value) == message
+
+
 # the model blocks as the benchmark workloads and the CI config send them
 MODEL_BLOCKS = {
     "detector": {"omega": 0.2, "lambda": 0.01},

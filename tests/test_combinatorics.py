@@ -99,6 +99,19 @@ def test_cycle_cover_sums_count_pairings_of_every_subset(k):
         assert count == crossing_count(bin(subset).count("1")), subset
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 5, 10])
+def test_cycle_cover_sums_float_links_match_1x1_links(k):
+    # the float path multiplies in the same order as the 1x1 matrix path,
+    # so every sum is the same double; side-dependent links tell the
+    # entry sides apart
+    rng = np.random.default_rng(k)
+    links = rng.uniform(-1.0, 1.0, size=(max(k, 1), 2, max(k, 1)))
+    matrices = cycle_cover_sums(k, lambda a, side, b: links[a, side, b : b + 1, None])
+    floats = cycle_cover_sums(k, lambda a, side, b: float(links[a, side, b]))
+    np.testing.assert_array_equal(floats, matrices)
+    assert floats.shape == (1 << k,)
+
+
 @pytest.mark.parametrize("k", [0, 1, 3, 6])
 def test_subset_sums_is_the_zeta_transform(k):
     values = np.random.default_rng(k).normal(size=1 << k)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import os
@@ -37,13 +38,18 @@ from udwrm import (
 )
 from udwrm.combinatorics import CONTRACTION_ENUM_MAX, MAX_WINDOWS
 from udwrm.response import (
-    CHEB_RESOLUTIONS,
+    MAX_RESOLUTION,
     ROUNDOFF_UNITS,
     QuadratureError,
     _chebyshev_basis,
     _chebyshev_nodes,
+    _chebyshev_resolution,
     _geometric_edges,
+    _log_correlator_bound,
+    _log_interpolation_bound,
+    _moment_order,
     _panel_quadrature,
+    _window_moments,
     ratio_from_sums,
 )
 
@@ -532,6 +538,28 @@ def test_f_fraction_error_covers_reference_at_fast_decay(omega, sigma, alpha):
         assert abs(val - ref) <= err, (order, val, ref, err)
 
 
+@functools.lru_cache(maxsize=None)
+def sampled_model(omega, sigma, alpha, t_off_factor):
+    """One model per sampled point, shared by every example that draws it
+    again (as shrinking does), with its cached fractions."""
+    kern = WightmanKernel(inertial() if alpha is None else accelerated(alpha))
+    sched = default_schedule(sigma=sigma, repetitions=4, t_off_factor=t_off_factor)
+    return ResponseModel(kern, sched, DetectorParams(omega=omega, lam=1e-2))
+
+
+@functools.lru_cache(maxsize=None)
+def sampled_reference(point, gaps, order):
+    return reference_fraction(sampled_model(*point), gaps, order=order)
+
+
+def doubled_resolution(model):
+    """A fresh copy of the model at twice its Chebyshev resolution, whose
+    interpolation tail is far below roundoff."""
+    fine = ResponseModel(model.kernel, model.schedule, model.detector)
+    fine._resolution = (2 * model._resolution[0], 0.0)
+    return fine
+
+
 @settings(max_examples=8, deadline=None, derandomize=True)
 @given(
     omega=st.floats(0.05, 2.0),
@@ -545,22 +573,31 @@ def test_f_fraction_error_covers_converged_reference_property(
     # inertial, or alpha sigma in [1e-3 sigma, 3], where the fractions
     # underflow double range from about 2.2 on
     alpha = None if accel is None else 1e-3 + accel * (3.0 / sigma - 1e-3)
-    kern = WightmanKernel(inertial() if alpha is None else accelerated(alpha))
-    sched = default_schedule(sigma=sigma, repetitions=4, t_off_factor=t_off_factor)
-    model = ResponseModel(kern, sched, DetectorParams(omega=omega, lam=1e-2))
+    point = (omega, sigma, alpha, t_off_factor)
+    model = sampled_model(*point)
     for gaps in ((0, 1), (0, 2)):
         val, err = model.f_fraction(gaps)
-        ref48 = reference_fraction(model, gaps, order=48)
-        ref32 = reference_fraction(model, gaps, order=32)
+        ref48 = sampled_reference(point, gaps, 48)
+        ref32 = sampled_reference(point, gaps, 32)
         assert abs(val - ref48) <= err, (gaps, val, ref48, err)
         # the reference has itself converged to within the claimed error
         assert abs(ref48 - ref32) <= err, (gaps, ref48, ref32, err)
+    # three windows, and the chain factor P(1 | 1, 1) / q - 1 built from
+    # them, against the model at twice its resolution
+    fine = doubled_resolution(model)
+    val, err = model.f_fraction((0, 1, 2))
+    ref, _ = fine.f_fraction((0, 1, 2))
+    assert abs(val - ref) <= err, (val, ref, err)
+    h = HistoryRecord(excitations=(0, 1), query=2)
+    ratio, ratio_err = ratio_from_sums(*model.correction_sums(h))
+    ref_ratio, _ = ratio_from_sums(*fine.correction_sums(h))
+    assert abs(ratio - ref_ratio) <= ratio_err, (ratio, ref_ratio, ratio_err)
 
 
 @pytest.mark.parametrize("omega", [0.05, 0.5, 2.0])
 def test_f_fraction_underflow_has_an_error_bar(omega):
     # at alpha sigma = 2.2 the |link| sums underflow to 0, so only the
-    # floor's absolute term lets the resolutions agree
+    # floor's absolute term keeps the error above 0
     kern = WightmanKernel(accelerated(2.2))
     sched = default_schedule(sigma=1.0, repetitions=2, t_off_factor=20.0)
     model = ResponseModel(kern, sched, DetectorParams(omega=omega, lam=1e-2))
@@ -572,10 +609,10 @@ def test_f_fraction_underflow_has_an_error_bar(omega):
     assert 0.0 < err < 1e-290
 
 
-def class_value(model, cls, p):
-    """One contraction class at Chebyshev resolution p: the product over its
-    cycles of the traces of the link products, each cycle walked from its
-    smallest window entered at side 0."""
+def class_value(model, cls):
+    """One contraction class at the model's Chebyshev resolution: the
+    product over its cycles of the traces of the link products, each cycle
+    walked from its smallest window entered at side 0."""
     partner = {}
     for a, b in cls.edges:
         partner[a] = b
@@ -591,7 +628,7 @@ def class_value(model, cls, p):
             window, side = entry
             seen.add(window)
             entry = partner[(window, 1 - side)]
-            link, _ = model._link(p, side, window - entry[0])
+            link = model._link(side, window - entry[0])[0]
             product = link if product is None else product @ link
             if entry == start:
                 break
@@ -600,18 +637,10 @@ def class_value(model, cls, p):
 
 
 def enumerated_fraction(model, gaps):
-    """The correction fraction as a sum over the enumerated classes, with
-    the resolution doubling until two sums agree to the roundoff floor."""
+    """The correction fraction as a sum over the enumerated classes, at the
+    model's one Chebyshev resolution."""
     classes = enumerate_contraction_classes(len(gaps), gaps)
-    eps = float(np.finfo(float).eps)
-    total = None
-    for p in CHEB_RESOLUTIONS:
-        values = [class_value(model, cls, p) for cls in classes]
-        prev, total = total, math.fsum(values)
-        floor = ROUNDOFF_UNITS * eps * math.fsum(abs(v) for v in values)
-        if prev is not None and abs(total - prev) <= floor:
-            return total / model.calq ** len(gaps)
-    raise QuadratureError(f"enumerated sum over gaps {gaps} did not converge")
+    return math.fsum(class_value(model, cls) for cls in classes) / model.calq ** len(gaps)
 
 
 @pytest.mark.parametrize("k", range(2, CONTRACTION_ENUM_MAX + 1))
@@ -633,7 +662,7 @@ def test_f_fraction_reflection_symmetry(gaps, full_model):
     assert abs(a - b) <= ea + eb, (a, b, ea + eb)
 
 
-@pytest.mark.parametrize("p", CHEB_RESOLUTIONS)
+@pytest.mark.parametrize("p", [12, 24, 48, 96])
 def test_chebyshev_basis_interpolates(p):
     # the unit vectors at the nodes, and x^5 reproduced at points between
     t_on = 8.0
@@ -646,12 +675,166 @@ def test_chebyshev_basis_interpolates(p):
 
 def test_f_fraction_refines_fast_decaying_correlator(schedule, detector):
     # at alpha = 1 the correlator falls like exp(-alpha s) across a window,
-    # which the starting Chebyshev resolution misses at the 1e-6 level
+    # which takes twice the nodes of the README point
     kern = WightmanKernel(accelerated(1.0))
     model = ResponseModel(kern, schedule, detector)
     val, err = model.f_fraction((0, 1))
     ref = reference_fraction(model, (0, 1))
     assert abs(val - ref) <= err, (val, ref, err)
+
+
+EPS = float(np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("kind", ["inertial", "accelerated"])
+def test_resolution_at_the_readme_point(kind, full_model, full_accelerated_model):
+    model = full_model if kind == "inertial" else full_accelerated_model
+    p, tau = _chebyshev_resolution(model.kernel, model.schedule)
+    assert p <= 16
+    assert 0.0 < tau <= EPS
+
+
+# (alpha, sigma, t_off_factor) of every schedule and worldline the tests
+# take correction fractions on, alpha None for the inertial worldline
+TESTED_WINDOWS = [
+    (None, 1.0, 10.0),
+    (0.1, 1.0, 10.0),
+    (None, 1.0, 2.0),
+    (0.1, 1.0, 2.0),
+    (None, 1.0, 0.5),
+    (0.1, 1.0, 0.5),
+    (0.5, 2.25, 0.5),
+    (0.5, 2.25, 3.0),
+    (1.0, 1.0, 10.0),
+    (2.0, 1.0, 10.0),
+    (5.0, 1.0, 10.0),
+    (9.0, 1.0, 10.0),
+    (20.0, 1.0, 10.0),
+    (2.2, 1.0, 20.0),
+    (2.4, 1.25, 2.0),
+    (1.5, 2.0, 2.0),
+    (6.0, 0.5, 2.0),
+    (1.0, 3.0, 2.0),
+    (None, 0.5, 2.0),
+    (None, 3.0, 20.0),
+]
+
+
+@pytest.mark.parametrize("alpha, sigma, t_off_factor", TESTED_WINDOWS)
+def test_resolution_fits_every_tested_schedule(alpha, sigma, t_off_factor):
+    kern = WightmanKernel(inertial() if alpha is None else accelerated(alpha))
+    p, tau = _chebyshev_resolution(kern, default_schedule(sigma=sigma, t_off_factor=t_off_factor))
+    assert 2 <= p <= MAX_RESOLUTION
+    # where even the floored bound underflows (alpha 20), tau is 0
+    assert 0.0 <= tau <= EPS
+
+
+@pytest.mark.parametrize("t_off_factor", [0.5, 2.0, 10.0])
+@pytest.mark.parametrize("alpha", [None, 0.1, 1.0], ids=["inertial", "a0.1", "a1"])
+def test_interpolation_tail_falls_with_the_gap(alpha, t_off_factor):
+    # the tail relative to kappa_g at the model's p is largest at g = 1,
+    # so the one tau covers every link
+    kern = WightmanKernel(inertial() if alpha is None else accelerated(alpha))
+    sched = default_schedule(repetitions=33, t_off_factor=t_off_factor)
+    p, tau = _chebyshev_resolution(kern, sched)
+    for g in range(1, sched.repetitions):
+        log_kappa = _log_correlator_bound(kern, sched.t * g - sched.t_on)
+        log_tau = _log_interpolation_bound(kern, sched, g, [p])[0] - log_kappa
+        assert log_tau <= math.log(tau) + 1e-12, (g, math.exp(log_tau), tau)
+
+
+def test_log_correlator_bound_is_the_log_of_the_correlator():
+    s = np.array([0.5, 8.0, 80.0, 700.0])
+    for kern in (WightmanKernel(inertial()), WightmanKernel(accelerated(0.1))):
+        np.testing.assert_allclose(
+            _log_correlator_bound(kern, s), np.log(np.abs(kern.limit(s))), rtol=1e-14
+        )
+    # far out, where the correlator itself underflows to 0
+    assert _log_correlator_bound(WightmanKernel(accelerated(20.0)), 80.0) == pytest.approx(
+        2.0 * math.log(20.0 / (4.0 * math.pi)) - 1600.0 + 2.0 * math.log(2.0), rel=1e-15
+    )
+
+
+@pytest.mark.parametrize("p", [4, 6, 8])
+@pytest.mark.parametrize("kind", ["inertial", "accelerated"])
+def test_error_bar_covers_an_under_resolved_model(kind, p, full_model, full_accelerated_model):
+    # below the model's p the interpolation tail, not roundoff, sets the
+    # error: the bar built from the bound at p still covers the fractions
+    # at the model's own resolution
+    model = full_model if kind == "inertial" else full_accelerated_model
+    kern, sched = model.kernel, model.schedule
+    log_kappa = _log_correlator_bound(kern, sched.t - sched.t_on)
+    tau = math.exp(_log_interpolation_bound(kern, sched, 1, [p])[0] - log_kappa)
+    assert tau > 1e3 * EPS
+    coarse = ResponseModel(kern, sched, model.detector)
+    coarse._resolution = (p, tau)
+    for gaps in ((0, 1), (0, 3), (0, 1, 2), (0, 2, 3, 5)):
+        val, err = coarse.f_fraction(gaps)
+        ref, ref_err = model.f_fraction(gaps)
+        assert abs(val - ref) <= err + ref_err, (gaps, val, ref, err)
+
+
+@pytest.mark.parametrize(
+    "alpha, sigma, t_off_factor, omega",
+    [
+        (None, 1.0, 10.0, 0.2),
+        (0.1, 1.0, 10.0, 0.2),
+        (None, 1.0, 0.5, 0.2),
+        (2.4, 1.25, 2.0, 2.0),
+        (None, 3.0, 10.0, 4.0),
+        (1.0, 3.0, 0.5, 4.0),
+    ],
+    ids=["inertial", "a0.1", "short-gap", "fast-decay", "w-T_on-96", "w-T_on-96-short-gap"],
+)
+def test_window_moments_converge_at_the_model_resolution(alpha, sigma, t_off_factor, omega):
+    # the links M C at the model's p agree with those from moments at twice
+    # the Gauss-Legendre order, within the roundoff floor of the sums of
+    # |terms| carried through |C|.  (Entry by entry the moments are not
+    # converged: their high-degree parts, which the smooth correlator does
+    # not see, can be off by 1e-8 of their terms.)
+    kern = WightmanKernel(inertial() if alpha is None else accelerated(alpha))
+    sched = default_schedule(sigma=sigma, t_off_factor=t_off_factor)
+    d = DetectorParams(omega=omega, lam=1e-2)
+    p, _ = _chebyshev_resolution(kern, sched)
+    (later, earlier), weight = _window_points(sched, d, 2 * _moment_order(sched, d, p))
+    a, b = _chebyshev_basis(p, sched.t_on, later), _chebyshev_basis(p, sched.t_on, earlier)
+    ref = a.T @ (weight[:, None] * b)
+    terms = np.abs(a).T @ (np.abs(weight)[:, None] * np.abs(b))
+    moments = _window_moments(sched, d, p)
+    x = _chebyshev_nodes(p, sched.t_on)
+    for g in (1, 2):
+        corr = kern.limit(sched.t * g + x[:, None] - x[None, :])
+        for got, want, size in ((moments, ref, terms), (moments.T, ref.T, terms.T)):
+            floor = ROUNDOFF_UNITS * EPS * (size @ np.abs(corr))
+            diff = np.abs(got @ corr - want @ corr)
+            assert np.all(diff <= floor), (g, np.max(diff / floor))
+
+
+@pytest.mark.parametrize(
+    "alpha, sigma, t_off_factor",
+    [(None, 1.0, 0.5), (0.1, 1.0, 0.5), (3.0, 1.0, 10.0), (3.0, 1.0, 0.5), (1.2, 2.5, 2.0)],
+    ids=[
+        "inertial-short-gap",
+        "a0.1-short-gap",
+        "a-sigma-3",
+        "a-sigma-3-short-gap",
+        "a-sigma-3-t2",
+    ],
+)
+def test_f_fraction_error_covers_reference_at_short_gap_and_fast_decay(
+    alpha, sigma, t_off_factor
+):
+    # t_off_factor 0.5 puts the correlator's pole T_on / 2 from a window
+    # pair; alpha sigma = 3 makes it fall by e^-24 across one
+    kern = WightmanKernel(inertial() if alpha is None else accelerated(alpha))
+    sched = default_schedule(sigma=sigma, repetitions=3, t_off_factor=t_off_factor)
+    model = ResponseModel(kern, sched, DetectorParams(omega=0.2, lam=1e-2))
+    for gaps in ((0, 1), (0, 2)):
+        val, err = model.f_fraction(gaps)
+        ref48 = reference_fraction(model, gaps, order=48)
+        ref32 = reference_fraction(model, gaps, order=32)
+        assert abs(val - ref48) <= err, (gaps, val, ref48, err)
+        assert abs(ref48 - ref32) <= err, (gaps, ref48, ref32, err)
 
 
 def test_f_fraction_stalls_for_touching_windows(inertial_kernel, detector):
