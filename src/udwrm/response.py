@@ -6,10 +6,11 @@ The single-window probability q comes either from closed forms (infinite
 interaction time, Gaussian envelope) or from direct quadrature on a line
 below the real axis.  Multi-window corrections are dimensionless fractions:
 each cross-interval pairing pattern contributes a 2k-dimensional integral,
-normalized by the k-th power of the single-window response.  Conditional
-probabilities divide two such correction sums, and are always handled as
-ratios to q so that corrections far below double-precision absolute
-resolution stay meaningful.
+normalized by the k-th power of the single-window response.  A conditional
+probability is q (1 + num / (1 + den)): num sums the fractions of the
+window subsets that hold the query, den those of the history alone.  It is
+always handled as a ratio to q so that corrections far below
+double-precision absolute resolution stay meaningful.
 """
 
 from __future__ import annotations
@@ -464,8 +465,9 @@ class ResponseModel:
     """Bundles kernel, schedule, and detector; caches correction fractions.
 
     Correction fractions depend only on the gaps between the chosen windows
-    (stationarity), so results are cached by gap signature and reused across
-    translated histories.
+    (stationarity).  One pass over a window set gives the fraction of every
+    subset of it; the pass is cached whole by the set's gap signature and
+    reused by every translate of the set.
 
     Windows are well separated, so each cross-window correlator is smooth in
     the two window-local times and is replaced by its p-node Chebyshev
@@ -498,7 +500,7 @@ class ResponseModel:
         self.schedule = sched
         self.detector = detector
         self._calq = calQ(kern, sched, detector)
-        self._f_cache: dict[tuple[int, ...], tuple[float, float]] = {}
+        self._passes: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
         self._links: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, float]] = {}
 
     @property
@@ -523,9 +525,8 @@ class ResponseModel:
         integrals divided by the matching power of the single-window response.
 
         The windows are distinct integer indices below the repetitions,
-        checked before any integral.  A cache read by gap signature; a miss
-        runs ``_subset_fractions`` on the window set, which caches every
-        subset of it as well.
+        checked before any integral; the fraction is the full-mask entry of
+        their ``_subset_fractions`` pass.
         """
         windows = tuple(intervals)
         if not all(is_integer(w) for w in windows):
@@ -538,19 +539,20 @@ class ResponseModel:
         reps = self.schedule.repetitions
         if labels[0] < 0 or labels[-1] >= reps:
             raise ValueError(f"windows must lie in [0, {reps}) (the repetitions), got {windows!r}")
-        gaps = tuple(lab - labels[0] for lab in labels)
-        if gaps not in self._f_cache:
-            self._subset_fractions(gaps)
-        return self._f_cache[gaps]
+        values, errors = self._subset_fractions(labels)
+        return values[-1], errors[-1]
 
     def _subset_fractions(self, windows) -> tuple[np.ndarray, np.ndarray]:
         """Correction fractions of every subset of a window set, from one
         ``cycle_cover_sums`` pass over the links at the model's resolution p.
 
         ``windows`` is strictly increasing; bit a of a mask stands for
-        windows[a].  Returns (fraction, error) arrays indexed by mask, zero
-        on masks of fewer than two windows.  A subset whose gap signature is
-        cached is read from the cache; the others are computed and cached.
+        windows[a].  Returns read-only (fraction, error) arrays indexed by
+        mask, zero on masks of fewer than two windows, and cached whole by
+        the set's gap signature.  Links depend only on (side, gap), and the
+        DP visits a mask's sub-lattice in the same order whatever the other
+        windows, so each mask is, bit for bit, the full mask of the pass
+        over its own windows.
         The error of subset S, before the division by calQ^|S|, is
 
         - the roundoff floor, ROUNDOFF_UNITS (eps F(|M| |C|)[S] + tiny), the
@@ -561,47 +563,33 @@ class ResponseModel:
           interpolant is within tau kappa_g of its correlator, whose modulus
           is at most kappa_g.
 
-        More than MAX_WINDOWS windows raise before any integral.
+        More than MAX_WINDOWS windows raise before any integral; fewer than
+        two run no pass and leave p unfixed.
         """
         k = len(windows)
         if k > MAX_WINDOWS:
             raise ValueError(f"{k} windows exceed MAX_WINDOWS = {MAX_WINDOWS}")
-        size = 1 << k
-        values = np.zeros(size)
-        errors = np.zeros(size)
-        # uncached gap signature -> the masks that share it
-        pending: dict[tuple[int, ...], list[int]] = {}
-        for mask in range(size):
-            members = [w for a, w in enumerate(windows) if mask >> a & 1]
-            if len(members) < 2:
-                continue
-            gaps = tuple(w - members[0] for w in members)
-            if gaps in self._f_cache:
-                values[mask], errors[mask] = self._f_cache[gaps]
-            else:
-                pending.setdefault(gaps, []).append(mask)
-        if not pending:
-            return values, errors
-
-        tau = self._resolution[1]
-
-        def link(a: int, side: int, b: int, part: int = 0):
-            return self._link(side, windows[a] - windows[b])[part]
-
-        total = cycle_cover_sums(k, link)
-        # the same sums over the |M| |C| links bound sum |class value|,
-        # and the rounding of the correlator samples C carried through M
-        magnitude = cycle_cover_sums(k, lambda a, side, b: link(a, side, b, 1))
+        if k < 2:
+            return np.zeros(1 << k), np.zeros(1 << k)
+        gaps = tuple(w - windows[0] for w in windows)
+        if gaps in self._passes:
+            return self._passes[gaps]
+        # sums over the value links M C; over the |M| |C| links, which bound
+        # sum |class value| and the rounding of the correlator samples C
+        # carried through M; and over the tail's scalar links W kappa
+        total, magnitude, reach = (
+            cycle_cover_sums(k, lambda a, side, b: self._link(side, gaps[a] - gaps[b])[part])
+            for part in range(3)
+        )
         # the absolute term keeps the floor above 0 where |link| sums underflow
         floor = ROUNDOFF_UNITS * (_EPS * magnitude + _TINY)
-        reach = cycle_cover_sums(k, lambda a, side, b: link(a, side, b, 2))
-        for gaps, masks in pending.items():
-            first = masks[0]
-            tail = math.expm1(len(gaps) * math.log1p(tau)) * reach[first]
-            norm = self._calq ** len(gaps)
-            result = (total[first] / norm, (floor[first] + tail) / norm)
-            self._f_cache[gaps] = result
-            values[masks], errors[masks] = result
+        size = sum(np.arange(1 << k) >> a & 1 for a in range(k))  # windows per mask
+        norm = self._calq**size
+        tail = np.expm1(size * math.log1p(self._resolution[1])) * reach
+        values = np.where(size >= 2, total / norm, 0.0)
+        errors = np.where(size >= 2, (floor + tail) / norm, 0.0)
+        values.flags.writeable = errors.flags.writeable = False
+        self._passes[gaps] = values, errors
         return values, errors
 
     def _link(self, side: int, gap: int) -> tuple[np.ndarray, np.ndarray, float]:
@@ -624,22 +612,23 @@ class ResponseModel:
             )
         return self._links[key]
 
-    def correction_sums(self, h: HistoryRecord) -> tuple[float, float, float]:
-        """(numerator sum, denominator sum, combined abs error) for P_n/q.
+    def correction_sums(self, h: HistoryRecord) -> tuple[float, float, float, float]:
+        """(num, den, num_err, den_err) for P_n/q - 1 = num / (1 + den).
 
-        One subset pass over the history's windows: the numerator sums the
-        fractions of every subset, the denominator those without the query.
+        One subset pass over the history's windows: num sums the fractions
+        of the subsets that hold the query, den those of the history alone.
         The single entry point for histories, so they are validated here.
         """
-        n = h.order
         if h.query >= self.schedule.repetitions:
             raise ValueError(
                 f"query window {h.query} is past the last of "
                 f"{self.schedule.repetitions} repetitions"
             )
         values, errors = self._subset_fractions(h.excitations + (h.query,))
-        # the query is the last window: the masks without it are those below its bit
-        return float(values.sum()), float(values[: 1 << (n - 1)].sum()), float(errors.sum())
+        # the query is the last window: the masks with it are those from its bit on
+        query = 1 << (h.order - 1)
+        parts = (slice(query, None), slice(query))
+        return tuple(float(a[part].sum()) for a in (values, errors) for part in parts)
 
     def conditional_excitation(self, h: HistoryRecord) -> ProbabilityResult:
         """P_n = q (1 + P_n/q - 1), the ratio from the correction sums."""
@@ -649,11 +638,13 @@ class ResponseModel:
         )
 
 
-def ratio_from_sums(num: float, den: float, err: float) -> tuple[float, float]:
-    """(P_n / q - 1, abs error) from a history's correction sums."""
+def ratio_from_sums(num: float, den: float, num_err: float, den_err: float) -> tuple[float, float]:
+    """(P_n / q - 1, abs error) = num / (1 + den) from a history's correction
+    sums.  num is summed directly, not as a difference of two sums, so a
+    query's fractions far below the history's own are not lost to
+    cancellation (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., sec. 1.7)."""
     if 1.0 + den <= 0.0:
-        raise BoundViolationError(
-            f"history correction sum {den} drove the denominator to zero"
-        )
-    return (num - den) / (1.0 + den), 2.0 * err
-
+        raise BoundViolationError(f"history correction sum {den} drove the denominator to zero")
+    ratio = num / (1.0 + den)
+    return ratio, (num_err + abs(ratio) * den_err) / (1.0 + den)

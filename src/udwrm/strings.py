@@ -89,24 +89,26 @@ class StringProbability:
     abs_error: float
 
 
-def _chain_law(b: BitString, q: float, sums, sum_errors) -> StringProbability:
+def _chain_law(b: BitString, q: float, sums, sum_errors, nums, num_errors) -> StringProbability:
     """Chain-law string probability, each factor conditioned on the ones
     recorded before it.
 
     Windows are numbered 0..L-1; bit j (1-based) is the outcome of window
-    j-1.  ``sums[mask]`` and ``sum_errors[mask]`` are the correction sums of
-    the windows in ``mask`` (bit i for window i) and their errors; they are
-    0 on masks of one window, so a factor without history is exactly q.
-    The result also carries log(P_rm / P_born) assembled from the
-    per-factor ratios, which stays accurate when the correction is far
-    below the probability's double-precision resolution.
+    j-1.  ``sums`` and ``nums`` are the history and query sums of
+    ``_window_sums``, the ``_errors`` theirs, indexed by mask (bit i for
+    window i); all are 0 on masks of one window, so a factor without
+    history is exactly q.  The result also carries log(P_rm / P_born)
+    assembled from the per-factor ratios, which stays accurate when the
+    correction is far below the probability's double-precision resolution.
     """
     log_ratio = 0.0
     err = 0.0
     history = 0
     for j, bit in enumerate(b.bits):
         full = history | 1 << j
-        ratio, ratio_err = ratio_from_sums(sums[full], sums[history], sum_errors[full])
+        ratio, ratio_err = ratio_from_sums(
+            nums[full], sums[history], num_errors[full], sum_errors[history]
+        )
         if bit == 1:
             # P(1|h)/q = 1 + ratio
             log_ratio += math.log1p(ratio)
@@ -122,20 +124,25 @@ def _chain_law(b: BitString, q: float, sums, sum_errors) -> StringProbability:
     )
 
 
-def _window_sums(length: int, model: ResponseModel) -> tuple[list[float], list[float]]:
-    """Correction sums of every subset of windows 0..length-1, and their
-    errors, indexed by mask.
+def _window_sums(length: int, model: ResponseModel) -> tuple[list[float], ...]:
+    """History sums, their errors, query sums and theirs, of windows
+    0..length-1, indexed by mask, from one subset pass.
 
-    One subset pass gives the correction fraction of every window subset;
-    their zeta transform (and that of their errors) gives every history's
-    correction sums.  A length past the repetitions, or past MAX_WINDOWS
+    A history's sum, over the subsets of its mask, is the zeta transform of
+    the fractions; a query's, over those that hold its highest window j,
+    the zeta transform of the block [2^j, 2^(j+1)) of masks whose highest
+    window is j.  A length past the repetitions, or past MAX_WINDOWS
     windows, raises before any integral.
     """
     reps = model.schedule.repetitions
     if not 1 <= length <= reps:
         raise ValueError(f"table length must lie in [1, {reps}] (the repetitions), got {length}")
     values, errors = model._subset_fractions(tuple(range(length)))
-    return subset_sums(values).tolist(), subset_sums(errors).tolist()
+    by_query = [
+        [0.0] + [s for j in range(length) for s in subset_sums(a[1 << j : 2 << j]).tolist()]
+        for a in (values, errors)
+    ]
+    return subset_sums(values).tolist(), subset_sums(errors).tolist(), *by_query
 
 
 def rm_string_prob(b: BitString, model: ResponseModel) -> StringProbability:

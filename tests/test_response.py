@@ -379,7 +379,7 @@ def test_history_beyond_enumeration_rejected_before_integrals(inertial_kernel, d
     h = HistoryRecord(excitations=tuple(range(MAX_WINDOWS)), query=MAX_WINDOWS)
     with pytest.raises(ValueError, match="MAX_WINDOWS"):
         model.correction_sums(h)
-    assert model._f_cache == {}
+    assert model._passes == {}
     assert model._links == {}
 
 
@@ -582,16 +582,18 @@ def test_f_fraction_error_covers_converged_reference_property(
         assert abs(val - ref48) <= err, (gaps, val, ref48, err)
         # the reference has itself converged to within the claimed error
         assert abs(ref48 - ref32) <= err, (gaps, ref48, ref32, err)
-    # three windows, and the chain factor P(1 | 1, 1) / q - 1 built from
-    # them, against the model at twice its resolution
+    # three windows, and every chain factor P(1 | h) / q - 1 on them, whose
+    # bar (num_err + |ratio| den_err) / (1 + den) must cover the distance to
+    # the model at twice its resolution
     fine = doubled_resolution(model)
     val, err = model.f_fraction((0, 1, 2))
     ref, _ = fine.f_fraction((0, 1, 2))
     assert abs(val - ref) <= err, (val, ref, err)
-    h = HistoryRecord(excitations=(0, 1), query=2)
-    ratio, ratio_err = ratio_from_sums(*model.correction_sums(h))
-    ref_ratio, _ = ratio_from_sums(*fine.correction_sums(h))
-    assert abs(ratio - ref_ratio) <= ratio_err, (ratio, ref_ratio, ratio_err)
+    for exc, query in (((0,), 1), ((0,), 2), ((1,), 2), ((0, 1), 2)):
+        h = HistoryRecord(excitations=exc, query=query)
+        ratio, ratio_err = ratio_from_sums(*model.correction_sums(h))
+        ref_ratio, _ = ratio_from_sums(*fine.correction_sums(h))
+        assert abs(ratio - ref_ratio) <= ratio_err, (h, ratio, ref_ratio, ratio_err)
 
 
 @pytest.mark.parametrize("omega", [0.05, 0.5, 2.0])
@@ -843,6 +845,36 @@ def test_f_fraction_stalls_for_touching_windows(inertial_kernel, detector):
         model.f_fraction((0, 1))
 
 
+def test_query_only_history_runs_no_pass(inertial_kernel, detector):
+    # a history without excitations is exactly q, even where the first pass
+    # would raise: it neither runs a pass nor fixes the resolution
+    model = ResponseModel(inertial_kernel, default_schedule(t_off_factor=1e-4), detector)
+    r = model.conditional_excitation(HistoryRecord(excitations=(), query=3))
+    assert (r.value, r.abs_error) == (model.q, 0.0)
+    assert "_resolution" not in vars(model)
+    assert model._passes == {}
+
+
+@pytest.mark.parametrize("kind", ["inertial", "accelerated"])
+def test_each_mask_of_a_pass_is_the_pass_over_its_windows(kind, schedule, detector):
+    # links depend only on (side, gap), and the DP visits a mask's
+    # sub-lattice in the same order under an order-preserving relabelling,
+    # so every mask equals, bit for bit, the full mask of a fresh pass over
+    # its own windows shifted to start at 0
+    kern = WightmanKernel(inertial() if kind == "inertial" else accelerated(0.1))
+    windows = (0, 1, 3, 4, 7)
+    values, errors = ResponseModel(kern, schedule, detector)._subset_fractions(windows)
+    assert not (values.flags.writeable or errors.flags.writeable)
+    for mask in range(1 << len(windows)):
+        members = [w for a, w in enumerate(windows) if mask >> a & 1]
+        if len(members) < 2:
+            assert values[mask] == errors[mask] == 0.0, members
+            continue
+        fresh = ResponseModel(kern, schedule, detector)
+        shifted = [w - members[0] for w in members]
+        assert fresh.f_fraction(shifted) == (values[mask], errors[mask]), members
+
+
 @pytest.mark.parametrize("module", ["scipy.stats", "mpmath", "scipy"])
 def test_import_skips_unused_module(module):
     src = os.path.dirname(os.path.dirname(udwrm.__file__))
@@ -912,22 +944,21 @@ def test_strong_coupling_warns(inertial_kernel, schedule):
 
 
 def correction_sums_reference(model, h):
-    """The former ``correction_sums``: a loop over every subset of the
-    history's windows, each fraction from ``f_fraction``."""
+    """``correction_sums`` by a loop over every subset of the history's
+    windows, each fraction from ``f_fraction``: (num, den, num_err,
+    den_err), num over the subsets that contain the query."""
     from itertools import combinations
 
     n = h.order
     all_intervals = h.excitations + (h.query,)
-    num = den = 0.0
-    err = 0.0
+    sums = [0.0, 0.0, 0.0, 0.0]
     for k in range(2, n + 1):
         for subset in combinations(all_intervals, k):
             val, e = model.f_fraction(subset)
-            num += val
-            err += e
-            if h.query not in subset:
-                den += val
-    return num, den, err
+            part = 0 if h.query in subset else 1
+            sums[part] += val
+            sums[part + 2] += e
+    return tuple(sums)
 
 
 @pytest.mark.parametrize("kind", ["inertial", "accelerated"])
@@ -942,10 +973,13 @@ def test_correction_sums_match_the_subset_loop(kind, schedule, detector):
         for size in range(4):
             for exc in itertools.combinations(range(query), size):
                 h = HistoryRecord(excitations=exc, query=query)
-                num, den, err = model.correction_sums(h)
-                ref_num, ref_den, ref_err = correction_sums_reference(reference, h)
-                assert abs(num - ref_num) <= err, (h, num, ref_num, err)
-                assert abs(den - ref_den) <= err, (h, den, ref_den, err)
-                assert (err > 0.0) == (ref_err > 0.0) == bool(exc), h
+                num, den, num_err, den_err = model.correction_sums(h)
+                ref_num, ref_den, ref_num_err, ref_den_err = correction_sums_reference(
+                    reference, h
+                )
+                assert abs(num - ref_num) <= num_err, (h, num, ref_num, num_err)
+                assert abs(den - ref_den) <= den_err, (h, den, ref_den, den_err)
+                assert (num_err > 0.0) == (ref_num_err > 0.0) == bool(exc), h
+                assert (den_err > 0.0) == (ref_den_err > 0.0) == (size >= 2), h
                 checked += 1
     assert checked == 162

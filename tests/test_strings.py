@@ -24,6 +24,7 @@ from udwrm import (
 )
 from udwrm.combinatorics import MAX_WINDOWS
 from udwrm.response import ratio_from_sums
+from udwrm.strings import _window_sums
 
 
 def test_bitstring_roundtrip():
@@ -238,24 +239,58 @@ def test_rm_string_prob_reach_is_checked_before_any_integral(
     assert model._links == {}
 
 
-def test_table_pass_caches_every_subset(schedule, detector, monkeypatch):
+def test_table_pass_is_cached_whole(schedule, detector, monkeypatch):
+    # a second table, each of its rows and the fraction of its whole window
+    # set read the one cached pass (a subset of it is a pass of its own)
     import udwrm.response
 
+    length = schedule.repetitions
     model = fresh_model("inertial", schedule, detector)
-    rm_string_table(5, model)
+    table = rm_string_table(length, model)
 
     def no_dp(*_):
         raise AssertionError("a cycle-cover pass ran after the table pass")
 
     monkeypatch.setattr(udwrm.response, "cycle_cover_sums", no_dp)
-    for k in range(2, 6):
-        for subset in itertools.combinations(range(5), k):
-            value, error = model.f_fraction(subset)
-            assert math.isfinite(value) and error > 0.0
-    for query in range(1, 5):
-        for k in range(1, query + 1):
-            for exc in itertools.combinations(range(query), k):
-                model.correction_sums(HistoryRecord(excitations=exc, query=query))
+    assert rm_string_table(length, model) == table
+    for v, row in enumerate(table):
+        assert rm_string_prob(BitString.from_int(v, length), model) == row
+    value, error = model.f_fraction(range(length))
+    assert math.isfinite(value) and error > 0.0
+
+
+def submasks(mask):
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
+@pytest.mark.parametrize("kind", ["inertial", "accelerated"])
+def test_chain_ratios_match_their_directly_summed_terms(kind, detector):
+    # at alpha = 0.1 a history's own fractions swamp its query's: the
+    # difference of the sums over h + {j} and over h lost 88 of these ratios
+    # to exactly 0.0
+    length = MAX_WINDOWS
+    model = fresh_model(kind, default_schedule(repetitions=length), detector)
+    history_sums, history_errors, query_sums, query_errors = _window_sums(length, model)
+    values, _ = model._subset_fractions(tuple(range(length)))
+    checked = 0
+    for j in range(1, length):
+        for history in range(1, 1 << j):
+            full = history | 1 << j
+            ratio, _ = ratio_from_sums(
+                query_sums[full], history_sums[history], query_errors[full], history_errors[history]
+            )
+            num = math.fsum(values[s | 1 << j] for s in submasks(history))
+            den = math.fsum(values[s] for s in submasks(history))
+            ref = num / (1.0 + den)
+            assert (ratio == 0.0) == (num == 0.0), (j, history, ratio, num)
+            assert abs(ratio - ref) <= 1e-12 * abs(ref), (j, history, ratio, ref)
+            checked += 1
+    assert checked == 1013
 
 
 def test_string_table_length_is_capped(full_model):
