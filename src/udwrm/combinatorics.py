@@ -251,19 +251,24 @@ def cycle_cover_sums(k: int, link) -> np.ndarray:
     return np.array(covers)
 
 
-def subset_sums(values) -> np.ndarray:
-    """Zeta transform over bit masks: out[A] = sum of values[S] over S ⊆ A.
+def subset_sums(values) -> tuple[np.ndarray, np.ndarray]:
+    """Zeta transforms over bit masks, (history, query): history[A] sums
+    values[S] over S ⊆ A, query[A] over those S that hold A's highest bit.
 
-    ``values`` has length 2^k; one pass per bit, O(2^k k) additions.
+    ``values`` has 2^k entries along its last axis, each row transformed on
+    its own; one pass per bit, O(2^k k) additions.  At bit b the query sums
+    skip the masks below 2^(b+1), whose highest bit is at most b.
     """
-    out = np.array(values, dtype=float)
-    size = len(out)
+    history = np.array(values, dtype=float)
+    size = history.shape[-1]
     if not size or size & (size - 1):
         raise ValueError(f"need 2^k values, got {size}")
+    query = history.copy()
     bit = 1
     while bit < size:
-        halves = out.reshape(-1, 2, bit)
-        halves[:, 1, :] += halves[:, 0, :]
+        halves = history.reshape(-1, size // (2 * bit), 2, bit)
+        halves[:, :, 1] += halves[:, :, 0]
+        halves = query.reshape(-1, size // (2 * bit), 2, bit)
+        halves[:, 1:, 1] += halves[:, 1:, 0]
         bit <<= 1
-    return out
-
+    return history, query

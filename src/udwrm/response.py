@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .combinatorics import MAX_WINDOWS, cycle_cover_sums
+from .combinatorics import MAX_WINDOWS, cycle_cover_sums, subset_sums
 from .kernel import TWO_PI, WightmanKernel
 from .schedule import RepetitionSchedule, is_integer
 
@@ -500,7 +500,7 @@ class ResponseModel:
         self.schedule = sched
         self.detector = detector
         self._calq = calQ(kern, sched, detector)
-        self._passes: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+        self._passes: dict[tuple[int, ...], tuple] = {}
         self._links: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, float]] = {}
 
     @property
@@ -539,20 +539,23 @@ class ResponseModel:
         reps = self.schedule.repetitions
         if labels[0] < 0 or labels[-1] >= reps:
             raise ValueError(f"windows must lie in [0, {reps}) (the repetitions), got {windows!r}")
-        values, errors = self._subset_fractions(labels)
+        values, errors = self._subset_fractions(labels)[:2]
         return values[-1], errors[-1]
 
-    def _subset_fractions(self, windows) -> tuple[np.ndarray, np.ndarray]:
-        """Correction fractions of every subset of a window set, from one
-        ``cycle_cover_sums`` pass over the links at the model's resolution p.
+    def _subset_fractions(self, windows) -> tuple:
+        """Correction fractions of every subset of a window set, and their
+        chain sums, from one ``cycle_cover_sums`` pass over the links at the
+        model's resolution p.
 
         ``windows`` is strictly increasing; bit a of a mask stands for
-        windows[a].  Returns read-only (fraction, error) arrays indexed by
-        mask, zero on masks of fewer than two windows, and cached whole by
-        the set's gap signature.  Links depend only on (side, gap), and the
-        DP visits a mask's sub-lattice in the same order whatever the other
-        windows, so each mask is, bit for bit, the full mask of the pass
-        over its own windows.
+        windows[a].  Returns (values, errors, num, den, num_err, den_err),
+        cached whole by the set's gap signature: read-only (fraction, error)
+        arrays indexed by mask, zero on masks of fewer than two windows, and
+        the lists of their ``subset_sums``, num the query and den the
+        history sums.  Links depend only on (side, gap), and the DP and the
+        transforms visit a mask's sub-lattice in the same order whatever the
+        other windows, so each mask and its sums are, bit for bit, the full
+        mask of the pass over its own windows.
         The error of subset S, before the division by calQ^|S|, is
 
         - the roundoff floor, ROUNDOFF_UNITS (eps F(|M| |C|)[S] + tiny), the
@@ -570,7 +573,7 @@ class ResponseModel:
         if k > MAX_WINDOWS:
             raise ValueError(f"{k} windows exceed MAX_WINDOWS = {MAX_WINDOWS}")
         if k < 2:
-            return np.zeros(1 << k), np.zeros(1 << k)
+            return np.zeros(1 << k), np.zeros(1 << k), *[[0.0] * (1 << k)] * 4
         gaps = tuple(w - windows[0] for w in windows)
         if gaps in self._passes:
             return self._passes[gaps]
@@ -589,8 +592,9 @@ class ResponseModel:
         values = np.where(size >= 2, total / norm, 0.0)
         errors = np.where(size >= 2, (floor + tail) / norm, 0.0)
         values.flags.writeable = errors.flags.writeable = False
-        self._passes[gaps] = values, errors
-        return values, errors
+        (den, den_err), (num, num_err) = (s.tolist() for s in subset_sums((values, errors)))
+        self._passes[gaps] = values, errors, num, den, num_err, den_err
+        return self._passes[gaps]
 
     def _link(self, side: int, gap: int) -> tuple[np.ndarray, np.ndarray, float]:
         """A window entered at endpoint ``side`` (M, or M^T from the earlier
@@ -615,20 +619,18 @@ class ResponseModel:
     def correction_sums(self, h: HistoryRecord) -> tuple[float, float, float, float]:
         """(num, den, num_err, den_err) for P_n/q - 1 = num / (1 + den).
 
-        One subset pass over the history's windows: num sums the fractions
-        of the subsets that hold the query, den those of the history alone.
-        The single entry point for histories, so they are validated here.
+        Lookups in the subset pass over the history's windows and its query,
+        bit for bit the string table's sums for the same factor.  The single
+        entry point for histories, so they are validated here.
         """
         if h.query >= self.schedule.repetitions:
             raise ValueError(
                 f"query window {h.query} is past the last of "
                 f"{self.schedule.repetitions} repetitions"
             )
-        values, errors = self._subset_fractions(h.excitations + (h.query,))
-        # the query is the last window: the masks with it are those from its bit on
-        query = 1 << (h.order - 1)
-        parts = (slice(query, None), slice(query))
-        return tuple(float(a[part].sum()) for a in (values, errors) for part in parts)
+        *_, num, den, num_err, den_err = self._subset_fractions(h.excitations + (h.query,))
+        full = (1 << h.order) - 1
+        return num[full], den[full >> 1], num_err[full], den_err[full >> 1]
 
     def conditional_excitation(self, h: HistoryRecord) -> ProbabilityResult:
         """P_n = q (1 + P_n/q - 1), the ratio from the correction sums."""

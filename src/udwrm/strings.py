@@ -3,7 +3,9 @@ chain law, plus ratio bounds and excitation-rate summaries.
 
 Probabilities of individual strings differ from the Born products by parts
 in 10^7 or less at weak coupling, so comparisons are carried as log-ratio
-corrections accumulated with log1p rather than as raw differences.
+corrections accumulated with log1p rather than as raw differences.  Chain
+factors are lookups in the sums cached with the strings' subset pass, the
+sums ``correction_sums`` reads for a history, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 from .bounds import BoundPair
-from .combinatorics import subset_sums
 from .kernel import Worldline
 from .response import ResponseModel, ratio_from_sums
 from .schedule import is_integer
@@ -89,15 +90,15 @@ class StringProbability:
     abs_error: float
 
 
-def _chain_law(b: BitString, q: float, sums, sum_errors, nums, num_errors) -> StringProbability:
+def _chain_law(b: BitString, q: float, num, den, num_err, den_err) -> StringProbability:
     """Chain-law string probability, each factor conditioned on the ones
     recorded before it.
 
     Windows are numbered 0..L-1; bit j (1-based) is the outcome of window
-    j-1.  ``sums`` and ``nums`` are the history and query sums of
-    ``_window_sums``, the ``_errors`` theirs, indexed by mask (bit i for
-    window i); all are 0 on masks of one window, so a factor without
-    history is exactly q.  The result also carries log(P_rm / P_born)
+    j-1.  ``num`` and ``den`` are the query and history sums of
+    ``_window_sums``, ``num_err`` and ``den_err`` theirs, indexed by mask
+    (bit i for window i); all are 0 on masks of one window, so a factor
+    without history is exactly q.  The result also carries log(P_rm / P_born)
     assembled from the per-factor ratios, which stays accurate when the
     correction is far below the probability's double-precision resolution.
     """
@@ -106,9 +107,7 @@ def _chain_law(b: BitString, q: float, sums, sum_errors, nums, num_errors) -> St
     history = 0
     for j, bit in enumerate(b.bits):
         full = history | 1 << j
-        ratio, ratio_err = ratio_from_sums(
-            nums[full], sums[history], num_errors[full], sum_errors[history]
-        )
+        ratio, ratio_err = ratio_from_sums(num[full], den[history], num_err[full], den_err[history])
         if bit == 1:
             # P(1|h)/q = 1 + ratio
             log_ratio += math.log1p(ratio)
@@ -125,24 +124,18 @@ def _chain_law(b: BitString, q: float, sums, sum_errors, nums, num_errors) -> St
 
 
 def _window_sums(length: int, model: ResponseModel) -> tuple[list[float], ...]:
-    """History sums, their errors, query sums and theirs, of windows
-    0..length-1, indexed by mask, from one subset pass.
+    """(num, den, num_err, den_err) of windows 0..length-1, indexed by mask:
+    the chain sums cached with their one subset pass.
 
-    A history's sum, over the subsets of its mask, is the zeta transform of
-    the fractions; a query's, over those that hold its highest window j,
-    the zeta transform of the block [2^j, 2^(j+1)) of masks whose highest
-    window is j.  A length past the repetitions, or past MAX_WINDOWS
-    windows, raises before any integral.
+    A length that is not an integer in [1, repetitions], or past
+    MAX_WINDOWS windows, raises before any integral.
     """
     reps = model.schedule.repetitions
-    if not 1 <= length <= reps:
-        raise ValueError(f"table length must lie in [1, {reps}] (the repetitions), got {length}")
-    values, errors = model._subset_fractions(tuple(range(length)))
-    by_query = [
-        [0.0] + [s for j in range(length) for s in subset_sums(a[1 << j : 2 << j]).tolist()]
-        for a in (values, errors)
-    ]
-    return subset_sums(values).tolist(), subset_sums(errors).tolist(), *by_query
+    if not (is_integer(length) and 1 <= length <= reps):
+        raise ValueError(
+            f"table length must be an integer in [1, {reps}] (the repetitions), got {length!r}"
+        )
+    return model._subset_fractions(tuple(range(length)))[2:]
 
 
 def rm_string_prob(b: BitString, model: ResponseModel) -> StringProbability:

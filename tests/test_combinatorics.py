@@ -114,11 +114,25 @@ def test_cycle_cover_sums_float_links_match_1x1_links(k):
 
 @pytest.mark.parametrize("k", [0, 1, 3, 6])
 def test_subset_sums_is_the_zeta_transform(k):
+    # history sums over every submask; query sums over the submasks that
+    # hold the mask's highest bit (mask 0 has none and keeps its value)
     values = np.random.default_rng(k).normal(size=1 << k)
-    direct = [
+    history = [
         math.fsum(values[s] for s in range(1 << k) if s & a == s) for a in range(1 << k)
     ]
-    np.testing.assert_allclose(subset_sums(values), direct, rtol=1e-12, atol=1e-12)
+    query = [values[0]] + [
+        math.fsum(values[s] for s in range(1 << k) if s & a == s and s >> (a.bit_length() - 1))
+        for a in range(1, 1 << k)
+    ]
+    sums, query_sums = subset_sums(values)
+    np.testing.assert_allclose(sums, history, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(query_sums, query, rtol=1e-12, atol=1e-12)
+    # each row of a stack is transformed on its own, bit for bit
+    rows = np.stack([values, values[::-1]])
+    stacked = subset_sums(rows)
+    for row, history_row, query_row in zip(rows, *stacked):
+        for out, alone in zip((history_row, query_row), subset_sums(row)):
+            np.testing.assert_array_equal(out, alone)
     with pytest.raises(ValueError):
         subset_sums(np.zeros(3))
 

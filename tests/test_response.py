@@ -863,7 +863,7 @@ def test_each_mask_of_a_pass_is_the_pass_over_its_windows(kind, schedule, detect
     # its own windows shifted to start at 0
     kern = WightmanKernel(inertial() if kind == "inertial" else accelerated(0.1))
     windows = (0, 1, 3, 4, 7)
-    values, errors = ResponseModel(kern, schedule, detector)._subset_fractions(windows)
+    values, errors, *_ = ResponseModel(kern, schedule, detector)._subset_fractions(windows)
     assert not (values.flags.writeable or errors.flags.writeable)
     for mask in range(1 << len(windows)):
         members = [w for a, w in enumerate(windows) if mask >> a & 1]

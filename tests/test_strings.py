@@ -134,9 +134,9 @@ def fresh_model(kind, schedule, detector):
 
 
 def per_factor_chain_law(b, model):
-    """Reference chain law, independent of the table's zeta transform: each
-    factor from the correction sums of its own history.  Returns
-    (value, log ratio to the Born probability)."""
+    """Reference chain law from the history route: each factor from the
+    correction sums of its own history, on a pass of its own windows.
+    Returns (value, log ratio to the Born probability)."""
     q = model.q
     log_ratio = 0.0
     ones = []
@@ -164,18 +164,15 @@ def per_string_models(schedule, detector):
 def test_string_table_matches_per_string_chain_law(
     kind, length, schedule, detector, per_string_models
 ):
+    # the table and the histories read the same chain sums, so every row is
+    # the per-factor chain law bit for bit
     table = rm_string_table(length, fresh_model(kind, schedule, detector))
     assert len(table) == 1 << length
     for v, row in enumerate(table):
         value, log_ratio = per_factor_chain_law(
             BitString.from_int(v, length), per_string_models[kind]
         )
-        # log(P_rm / P_born) carries the correction; the value itself may
-        # round differently by an ulp through exp
-        assert abs(row.log_ratio_correction - log_ratio) <= (
-            row.abs_error / row.value
-        ), (v, row, log_ratio)
-        assert abs(row.value - value) <= row.abs_error + math.ulp(value), (v, row, value)
+        assert (row.value, row.log_ratio_correction) == (value, log_ratio), (v, row)
 
 
 @pytest.mark.parametrize("kind", ["inertial", "accelerated"])
@@ -198,17 +195,28 @@ def test_string_table_at_eight_windows(kind, schedule, detector):
         assert lo <= row.value / born_string_prob(q, b) <= hi, (str(b), row)
 
     # the last factor of 11111110 conditions on a history of 7 windows,
-    # which the per-factor reference reaches too
+    # which the per-factor reference reaches too, bit for bit
     b = BitString.from_int(0b11111110, 8)
     assert str(b) == "11111110"
     row = table[b.to_int()]
     assert row.value > 0.0 and row.abs_error > 0.0
     assert math.isfinite(row.log_ratio_correction) and row.log_ratio_correction != 0.0
-    value, log_ratio = per_factor_chain_law(b, fresh_model(kind, schedule, detector))
-    assert abs(row.log_ratio_correction - log_ratio) <= (
-        row.abs_error / row.value
-    ), (row, log_ratio)
-    assert abs(row.value - value) <= row.abs_error + math.ulp(value), (row, value)
+    fresh = fresh_model(kind, schedule, detector)
+    value, log_ratio = per_factor_chain_law(b, fresh)
+    assert (row.value, row.log_ratio_correction) == (value, log_ratio), row
+
+    # every chain factor of the table, (ratio, error), is its history's
+    num, den, num_err, den_err = _window_sums(8, model)
+    checked = 0
+    for j in range(1, 8):
+        for history in range(1, 1 << j):
+            ones = tuple(i for i in range(j) if history >> i & 1)
+            h = HistoryRecord(excitations=ones, query=j)
+            full = history | 1 << j
+            factor = ratio_from_sums(num[full], den[history], num_err[full], den_err[history])
+            assert factor == ratio_from_sums(*fresh.correction_sums(h)), h
+            checked += 1
+    assert checked == 247
 
 
 @pytest.mark.parametrize("kind", ["inertial", "accelerated"])
@@ -240,8 +248,9 @@ def test_rm_string_prob_reach_is_checked_before_any_integral(
 
 
 def test_table_pass_is_cached_whole(schedule, detector, monkeypatch):
-    # a second table, each of its rows and the fraction of its whole window
-    # set read the one cached pass (a subset of it is a pass of its own)
+    # a second table, each of its rows, the fraction of its whole window set
+    # and the sums of the history over that set read the one cached pass and
+    # its chain sums (a subset of it is a pass of its own)
     import udwrm.response
 
     length = schedule.repetitions
@@ -251,12 +260,21 @@ def test_table_pass_is_cached_whole(schedule, detector, monkeypatch):
     def no_dp(*_):
         raise AssertionError("a cycle-cover pass ran after the table pass")
 
+    def no_transform(*_):
+        raise AssertionError("a subset-sum transform ran after the table pass")
+
     monkeypatch.setattr(udwrm.response, "cycle_cover_sums", no_dp)
+    monkeypatch.setattr(udwrm.response, "subset_sums", no_transform)
     assert rm_string_table(length, model) == table
     for v, row in enumerate(table):
         assert rm_string_prob(BitString.from_int(v, length), model) == row
     value, error = model.f_fraction(range(length))
     assert math.isfinite(value) and error > 0.0
+    h = HistoryRecord(excitations=tuple(range(length - 1)), query=length - 1)
+    num, den, num_err, den_err = _window_sums(length, model)
+    full = (1 << length) - 1
+    sums = (num[full], den[full >> 1], num_err[full], den_err[full >> 1])
+    assert model.correction_sums(h) == sums
 
 
 def submasks(mask):
@@ -275,8 +293,8 @@ def test_chain_ratios_match_their_directly_summed_terms(kind, detector):
     # to exactly 0.0
     length = MAX_WINDOWS
     model = fresh_model(kind, default_schedule(repetitions=length), detector)
-    history_sums, history_errors, query_sums, query_errors = _window_sums(length, model)
-    values, _ = model._subset_fractions(tuple(range(length)))
+    query_sums, history_sums, query_errors, history_errors = _window_sums(length, model)
+    values, *_ = model._subset_fractions(tuple(range(length)))
     checked = 0
     for j in range(1, length):
         for history in range(1, 1 << j):
@@ -298,6 +316,13 @@ def test_string_table_length_is_capped(full_model):
         rm_string_table(0, full_model)
     with pytest.raises(ValueError, match="table length"):
         rm_string_table(full_model.schedule.repetitions + 1, full_model)
+    # a bool or a float is no length, even where its value would be one,
+    # and raises before any integral
+    model = ResponseModel(full_model.kernel, full_model.schedule, full_model.detector)
+    for length in (True, 2.0):
+        with pytest.raises(ValueError, match="table length must be an integer"):
+            rm_string_table(length, model)
+    assert model._links == {}
     # inside the repetitions but past the window limit, before any integral
     model = ResponseModel(full_model.kernel, default_schedule(repetitions=12), full_model.detector)
     with pytest.raises(ValueError, match="MAX_WINDOWS"):
