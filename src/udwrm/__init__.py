@@ -30,7 +30,6 @@ from .bounds import (
     MonotonicityError,
     loose_bounds,
     n_limit,
-    parity_correction_sum,
     tight_bounds,
 )
 from .combinatorics import (
@@ -121,7 +120,6 @@ __all__ = [
     "inertial",
     "loose_bounds",
     "n_limit",
-    "parity_correction_sum",
     "partition_term_count",
     "perturbative_corrections",
     "posterior_trace",

@@ -124,19 +124,6 @@ def _check_q_gamma(q: float, gamma: float) -> None:
         raise ValueError("q must lie in (0, 1) and gamma in [0, 1)")
 
 
-def parity_correction_sum(n: int, gamma: float, parity: int) -> float:
-    """Worst-case correction-sum magnitude over n windows, split by the
-    parity of the number of cross-paired windows (even: positive
-    contributions, odd: negative)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError("gamma must lie in [0, 1)")
-    if parity not in (0, 1):
-        raise ValueError("parity must be 0 (even) or 1 (odd)")
-    return next(itertools.islice(_parity_sums(gamma), n - 1, None))[2 + parity]
-
-
 def loose_bound_scan(q: float, gamma: float, n_max: int) -> list[BoundPair]:
     """Loose bounds for n = 1 .. n_max in one pass, stopping before the
     first n at which they are undefined (see ``loose_bounds``)."""
@@ -214,10 +201,8 @@ def tight_bounds(
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
     loose = loose_bounds(n, q, gp.gamma)
-    windows = h.excitations + (query,)
     # float links: the cycle-cover programme multiplies them as floats
-    gammas = [[gp.pair(i, j) if i != j else 0.0 for j in windows] for i in windows]
-    covers = cycle_cover_sums(n, lambda a, _side, b: gammas[a][b])
+    covers = cycle_cover_sums(h.excitations + (query,), lambda _side, gap: gp.pair(gap, 0))
     totals = [0.0, 0.0]  # even, odd subsets of all windows
     history_totals = [0.0, 0.0]  # even, odd subsets of the history
     for subset, bound in enumerate(covers.tolist()[1:], start=1):

@@ -248,16 +248,13 @@ def _cmd_transition(args, settings):
     alpha = settings["worldline"]["alpha"] or 0.1
     sigma = settings["schedule"]["sigma"]
     sched = default_schedule(**settings["schedule"])
-    qi = q_closed_inertial(d, sigma)
-    qd = q_direct(WightmanKernel(inertial()), sched, d)
-    qa = q_closed_accelerated(d, sigma, alpha)
-    qda = q_direct(WightmanKernel(accelerated(alpha)), sched, d)
-    rows = [
-        ["inertial", 0.0, "closed_form", qi.value, qi.abs_error],
-        ["inertial", 0.0, "quadrature", qd.value, qd.abs_error],
-        ["accelerated", alpha, "closed_form", qa.value, qa.abs_error],
-        ["accelerated", alpha, "quadrature", qda.value, qda.abs_error],
+    results = [
+        ("inertial", 0.0, q_closed_inertial(d, sigma)),
+        ("inertial", 0.0, q_direct(WightmanKernel(inertial()), sched, d)),
+        ("accelerated", alpha, q_closed_accelerated(d, sigma, alpha)),
+        ("accelerated", alpha, q_direct(WightmanKernel(accelerated(alpha)), sched, d)),
     ]
+    rows = [[kind, a, r.method, r.value, r.abs_error] for kind, a, r in results]
     return ["worldline", "alpha", "method", "q", "abs_error"], rows
 
 
@@ -363,7 +360,7 @@ def _cmd_oracle(args, settings):
     norm = sum(string_distribution(m, length).tolist())
     rows.append(["tree_normalization", abs(norm - 1.0), 1e-10, abs(norm - 1.0) < 1e-10])
     mw = random_weak_model(d, 2, epsilon=eps, seed=args.seed)
-    rc = remainder_check(mw, 0, mw.env_initial, eps)
+    rc = remainder_check(mw, 0, eps)
     rows.append(["cubic_remainder", rc.contraction, REMAINDER_CONTRACTION, rc.passed])
     dev = propagator_consistency(m, 0)
     rows.append(["propagator_consistency", dev, 1e-9, dev < 1e-9])

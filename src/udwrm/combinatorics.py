@@ -150,23 +150,21 @@ def _canonical_edges(edges):
     return tuple(sorted(tuple(sorted(edge)) for edge in edges))
 
 
-def enumerate_contraction_classes(
-    k: int, interval_labels: list[int] | tuple[int, ...] | None = None
-) -> list[ContractionClass]:
-    """All cross-interval pairings over k intervals, canonically ordered.
+def enumerate_contraction_classes(labels) -> list[ContractionClass]:
+    """All cross-interval pairings over the intervals ``labels``, canonically
+    ordered.
 
-    The result has exactly crossing_count(k) elements; classes are sorted
-    lexicographically on their sorted edge lists so downstream quadrature
-    sums reduce in a reproducible order.
+    The result has exactly crossing_count(len(labels)) elements; classes are
+    sorted lexicographically on their sorted edge lists so downstream
+    quadrature sums reduce in a reproducible order.
     """
+    labels = tuple(labels)
+    k = len(labels)
     if not 2 <= k <= CONTRACTION_ENUM_MAX:
         raise ValueError(
             f"enumeration supports 2 <= k <= {CONTRACTION_ENUM_MAX}, got {k}"
         )
-    if interval_labels is None:
-        interval_labels = tuple(range(k))
-    labels = tuple(interval_labels)
-    if len(labels) != k or len(set(labels)) != k:
+    if len(set(labels)) != k:
         raise ValueError(f"need {k} distinct interval labels, got {labels!r}")
 
     endpoints = [(lab, side) for lab in labels for side in (0, 1)]
@@ -192,49 +190,52 @@ def enumerate_contraction_classes(
 MAX_WINDOWS = 10
 
 
-def cycle_cover_sums(k: int, link) -> np.ndarray:
-    """Sums over the cross-interval pairings of every subset of k intervals.
+def cycle_cover_sums(windows, link) -> np.ndarray:
+    """Sums over the cross-interval pairings of every subset of the distinct
+    intervals ``windows``.
 
     A pairing is a union of cycles over intervals.  A cycle enters each of
     its intervals at one endpoint (side 0 or 1) and leaves at the other;
-    ``link(a, side, b)`` is the matrix for leaving interval a, entered at
-    ``side``, towards interval b, whichever endpoint of b it meets.  A cycle
-    weighs the trace of its links' product, taken from its smallest interval
-    entered at side 0; a pairing weighs the product of its cycles.
+    ``link(side, gap)`` is the matrix for leaving interval a, entered at
+    ``side``, towards interval b, whichever endpoint of b it meets, where
+    gap = windows[a] - windows[b].  A cycle weighs the trace of its links'
+    product, taken from its smallest interval entered at side 0; a pairing
+    weighs the product of its cycles.
 
     Held-Karp paths from each smallest interval s, over (visited mask,
-    current interval) with both entry sides summed into the next link, give
-    W[C], the total weight of the cycles through exactly the intervals in C.
-    The covers then follow F[0] = 1, F[S] = sum_{C ∋ min S} W[C] F[S - C].
-    Returns F as an array indexed by the bit mask S; with unit 1x1 links
+    current interval) with both entry sides summed into the next link, once
+    per signed gap, give W[C], the total weight of the cycles through
+    exactly the intervals in C.  The covers then follow F[0] = 1,
+    F[S] = sum_{C ∋ min S} W[C] F[S - C].  Returns F as an array indexed by
+    the bit mask S, bit a for windows[a]; with unit 1x1 links
     F[2^k - 1] = crossing_count(k).  Python ``float`` links are multiplied
     as floats, which gives the same values as 1x1 matrices without numpy's
     per-call overhead.
     """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    k = len(windows)
     size = 1 << k
     weights = [0.0] * size
-    scalar = k > 1 and type(link(0, 0, 1)) is float
+    scalar = k > 1 and type(link(0, windows[0] - windows[1])) is float
     add, join = (operator.add, operator.mul) if scalar else (np.add, operator.matmul)
     start = float if scalar else np.asarray
-    step = {  # leaving an interval entered at either side
-        (a, b): add(link(a, 0, b), link(a, 1, b))
-        for a in range(k)
-        for b in range(k)
-        if a != b
+    step = {  # leaving an interval entered at either side, by signed gap
+        gap: add(link(0, gap), link(1, gap))
+        for gap in {a - b for a in windows for b in windows if a != b}
     }
     for s in range(k - 1):
         # paths[mask][c]: the summed link products of the paths from s
         # through the intervals of mask, ending at c
-        paths = {1 << s | 1 << b: {b: start(link(s, 0, b))} for b in range(s + 1, k)}
+        paths = {
+            1 << s | 1 << b: {b: start(link(0, windows[s] - windows[b]))}
+            for b in range(s + 1, k)
+        }
         for mask in range(size):
             for c, product in paths.pop(mask, {}).items():
-                back = step[c, s]
+                back = step[windows[c] - windows[s]]
                 weights[mask] += product * back if scalar else float(np.vdot(product, back.T))
                 for b in range(s + 1, k):
                     if not mask >> b & 1:
-                        grown = join(product, step[c, b])
+                        grown = join(product, step[windows[c] - windows[b]])
                         ends = paths.setdefault(mask | 1 << b, {})
                         ends[b] = ends[b] + grown if b in ends else grown
     covers = [1.0] + [0.0] * (size - 1)

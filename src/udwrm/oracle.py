@@ -62,13 +62,13 @@ def _check_hermitian(h: np.ndarray, what: str) -> None:
         raise ModelError(f"{what} is not a finite hermitian matrix")
 
 
-def _check_unitary(u: np.ndarray, what: str, tol: float = UNITARITY_TOL) -> None:
+def _check_unitary(u: np.ndarray, what: str) -> None:
     eye = np.eye(u.shape[0])
-    if not np.max(np.abs(u.conj().T @ u - eye)) <= tol:
+    if not np.max(np.abs(u.conj().T @ u - eye)) <= UNITARITY_TOL:
         raise ModelError(f"{what} is not unitary")
 
 
-def expm_hermitian(h: np.ndarray, t: float = 1.0) -> np.ndarray:
+def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
     """exp(-i t h) of a hermitian h from its eigendecomposition,
     V exp(-i t lambda) V^dagger, which is unitary to roundoff (Moler & Van
     Loan, "Nineteen dubious ways to compute the exponential of a matrix",
@@ -201,19 +201,20 @@ def string_distribution(m: FiniteRmModel, length: int) -> np.ndarray:
     return _leaf_probabilities(m, 0, length, *_root(m))
 
 
-def perturbative_corrections(m: FiniteRmModel, k: int, env: np.ndarray):
-    """Born part and the first/second order outcome corrections at step k.
+def perturbative_corrections(m: FiniteRmModel, k: int):
+    """Born part and the first/second order outcome corrections at step k,
+    from the environment state ``m.env_initial``.
 
     Returns (p, q1, q2) as length-2 arrays over outcomes; the exact step
     probability is p + eps q1 + eps^2 q2 + O(eps^3).  The post-step state
     expands as psi0 + eps psi1 + eps^2 psi2 + O(eps^3), with
-    psi0 = (U (x) I)(|0> (x) env), psi1 = -i G_k psi0 and
+    psi0 = (U (x) I)(|0> (x) env_initial), psi1 = -i G_k psi0 and
     psi2 = -G_k^2 psi0 / 2, so outcome b has q1 = 2 Re <psi1|P_b|psi0> and
     q2 = ||P_b psi1||^2 + 2 Re <psi2|P_b|psi0>.
     """
     u0 = m.u_detector[:, 0]
     g = m.generators[k]
-    psi0 = np.kron(u0, env)
+    psi0 = np.kron(u0, m.env_initial)
     psi1 = -1j * (g @ psi0)
     psi2 = -0.5j * (g @ psi1)
     psi0, psi1, psi2 = (v.reshape(2, m.env_dim) for v in (psi0, psi1, psi2))
@@ -222,13 +223,11 @@ def perturbative_corrections(m: FiniteRmModel, k: int, env: np.ndarray):
     return np.abs(u0) ** 2, q1, q2
 
 
-def exact_step_probability(
-    m: FiniteRmModel, k: int, env: np.ndarray, epsilon: float | None = None
-) -> np.ndarray:
-    """Outcome probabilities of step k from the full unitary, optionally at
-    a rescaled coupling."""
+def exact_step_probability(m: FiniteRmModel, k: int, epsilon: float) -> np.ndarray:
+    """Outcome probabilities of step k from the full unitary at coupling
+    ``epsilon``, from the environment state ``m.env_initial``."""
     u = m.step_unitary(k, epsilon)
-    psi = u @ np.kron(np.array([1.0, 0.0]), env)
+    psi = u @ np.kron(np.array([1.0, 0.0]), m.env_initial)
     blocks = psi.reshape(2, m.env_dim)
     return np.array([float(np.sum(np.abs(blocks[b]) ** 2)) for b in (0, 1)])
 
@@ -256,7 +255,6 @@ class RemainderCheck:
 def remainder_check(
     m: FiniteRmModel,
     k: int,
-    env: np.ndarray,
     epsilon: float,
     corrections: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> RemainderCheck:
@@ -272,11 +270,11 @@ def remainder_check(
     must also stay within the Taylor remainder of <e^(i eps G) P e^(-i eps G)>,
     (2 eps ||G||)^3 / 6, plus PROBABILITY_ROUNDOFF.
     """
-    p, q1, q2 = perturbative_corrections(m, k, env) if corrections is None else corrections
+    p, q1, q2 = perturbative_corrections(m, k) if corrections is None else corrections
     g_norm = float(np.linalg.norm(m.generators[k], 2))
     eps = [epsilon / 2**j for j in range(REMAINDER_LEVELS)]
     res = [
-        float(exact_step_probability(m, k, env, e)[1] - (p + e * q1 + e * e * q2)[1])
+        float(exact_step_probability(m, k, e)[1] - (p + e * q1 + e * e * q2)[1])
         for e in eps
     ]
     diffs = np.diff([r / e**3 for r, e in zip(res, eps)])

@@ -507,10 +507,6 @@ class ResponseModel:
     def q(self) -> float:
         return self.detector.lam**2 * self._calq
 
-    @property
-    def calq(self) -> float:
-        return self._calq
-
     @functools.cached_property
     def _resolution(self) -> tuple[int, float]:
         """(p, tau) of ``_chebyshev_resolution``, found on the first pass."""
@@ -581,7 +577,7 @@ class ResponseModel:
         # sum |class value| and the rounding of the correlator samples C
         # carried through M; and over the tail's scalar links W kappa
         total, magnitude, reach = (
-            cycle_cover_sums(k, lambda a, side, b: self._link(side, gaps[a] - gaps[b])[part])
+            cycle_cover_sums(gaps, lambda side, gap: self._link(side, gap)[part])
             for part in range(3)
         )
         # the absolute term keeps the floor above 0 where |link| sums underflow

@@ -166,10 +166,10 @@ def test_criterion_09_oracle_suite():
 
     for seed in range(10):
         mw = random_weak_model(env_dim=6, steps=1, epsilon=1e-3, seed=seed)
-        p, q1, q2 = perturbative_corrections(mw, 0, mw.env_initial)
+        p, q1, q2 = perturbative_corrections(mw, 0)
 
         def residual(eps):
-            exact = exact_step_probability(mw, 0, mw.env_initial, eps)
+            exact = exact_step_probability(mw, 0, eps)
             return abs(exact[1] - (p + eps * q1 + eps * eps * q2)[1])
 
         ratio = residual(1e-3) / residual(5e-4)
@@ -199,12 +199,12 @@ def test_criterion_10_bayes_suite():
 
     def total_residual(eps):
         mw = random_weak_model(env_dim=5, steps=4, epsilon=eps, seed=2)
-        q = perturbative_corrections(mw, 0, mw.env_initial)[0][1]
+        q = perturbative_corrections(mw, 0)[0][1]
         total = 0.0
         for v in range(16):
             b = BitString.from_int(v, 4)
             steps = [
-                perturbative_corrections(mw, k, mw.env_initial)[1][bit]
+                perturbative_corrections(mw, k)[1][bit]
                 for k, bit in enumerate(b.bits)
             ]
             first_order = delta_p_first_order(q, steps, b)

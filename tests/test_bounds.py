@@ -16,10 +16,15 @@ from udwrm import (
     inertial,
     loose_bounds,
     n_limit,
-    parity_correction_sum,
     tight_bounds,
 )
-from udwrm.bounds import MONOTONICITY_SEPARATIONS, N_LIMIT_CAP, MonotonicityError, loose_bound_scan
+from udwrm.bounds import (
+    MONOTONICITY_SEPARATIONS,
+    N_LIMIT_CAP,
+    MonotonicityError,
+    _parity_sums,
+    loose_bound_scan,
+)
 from udwrm.combinatorics import MAX_WINDOWS, crossing_count, cycle_cover_sums
 
 
@@ -42,11 +47,17 @@ def exact_parity_sum(n, gamma, parity):
     )
 
 
+def parity_sum(n, gamma, parity):
+    """The even (parity 0) or odd (parity 1) correction sum over n windows,
+    E_n or O_n of ``_parity_sums``."""
+    return next(itertools.islice(_parity_sums(gamma), n - 1, None))[2 + parity]
+
+
 def assert_parity_sums_exact(gamma, ns):
     for n in ns:
         for parity in (0, 1):
             exact = exact_parity_sum(n, gamma, parity)
-            value = parity_correction_sum(n, gamma, parity)
+            value = parity_sum(n, gamma, parity)
             if exact == 0:
                 assert value == 0.0
             else:
@@ -63,7 +74,7 @@ def test_parity_sums_match_exact_fractions_at_readme_gamma():
 
 def test_parity_correction_sum_overflows_to_inf():
     for parity in (0, 1):
-        assert parity_correction_sum(2000, 0.05, parity) == math.inf
+        assert parity_sum(2000, 0.05, parity) == math.inf
 
 
 @pytest.mark.parametrize(
@@ -212,7 +223,7 @@ def test_zero_gamma_bounds_are_exactly_q():
     for n in range(2, MAX_WINDOWS + 1):
         b = tight_bounds(tuple(range(n - 1)), n - 1, Q, zeros)
         assert (b.lower, b.upper) == (Q, Q)
-        assert parity_correction_sum(n, 0.0, 0) == parity_correction_sum(n, 0.0, 1) == 0.0
+        assert parity_sum(n, 0.0, 0) == parity_sum(n, 0.0, 1) == 0.0
     with pytest.warns(UserWarning, match="search cap"):
         assert n_limit(Q, 0.0) == N_LIMIT_CAP
 
@@ -341,9 +352,7 @@ def test_scalar_cycle_covers_match_closed_forms(inertial_kernel, schedule):
     gp = GammaProfile.from_kernel(inertial_kernel, schedule)
     windows = (0, 1, 3, 7)
     g = gp.pair
-    covers = cycle_cover_sums(
-        4, lambda a, _side, b: [[g(windows[min(a, b)], windows[max(a, b)])]]
-    )
+    covers = cycle_cover_sums(windows, lambda _side, gap: [[g(gap, 0)]])
     for subset, bound in subset_bounds(gp, windows):
         mask = sum(1 << windows.index(w) for w in subset)
         assert covers[mask] == pytest.approx(bound, rel=1e-14, abs=0.0), subset

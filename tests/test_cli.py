@@ -13,6 +13,7 @@ import pytest
 import udwrm
 from udwrm import cli
 from udwrm.cli import main
+from udwrm.response import MAX_RESOLUTION
 
 
 def write_config(tmp_path, payload):
@@ -51,6 +52,29 @@ def test_bad_json_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "bounds", "--config", str(p))
     assert code == 2
     assert "bad config" in err
+
+
+@pytest.mark.parametrize("text", ["", " \n\t\n"], ids=["empty", "whitespace"])
+def test_empty_config_file_exits_2(tmp_path, capsys, text):
+    p = tmp_path / "config.json"
+    p.write_text(text)
+    code, out, err = run(capsys, "bounds", "--config", str(p))
+    assert code == 2
+    assert "udwrm: config file is empty" in err
+    assert out == ""
+
+
+def test_library_error_exits_1_naming_its_type(tmp_path, capsys):
+    # at T_off = 0.01 T_on the correlator across adjacent windows needs more
+    # Chebyshev nodes than MAX_RESOLUTION: a library error, not a config error
+    cfg = write_config(tmp_path, {"schedule": {"t_off_factor": 0.01}, "strings": {"length": 2}})
+    code, out, err = run(capsys, "string-probs", "--config", cfg)
+    assert code == 1
+    assert re.match(
+        rf"udwrm: QuadratureError: .* needs more than {MAX_RESOLUTION} Chebyshev nodes: ", err
+    )
+    assert "usage" not in err
+    assert out == ""
 
 
 def test_bounds_csv_shape_and_horizon(tmp_path, capsys):

@@ -87,13 +87,13 @@ def test_decomposition_identity():
 
 def test_enumerate_classes_count_matches_multiplicity():
     for k in (2, 3, 4):
-        classes = enumerate_contraction_classes(k, tuple(range(k)))
+        classes = enumerate_contraction_classes(range(k))
         assert len(classes) == crossing_count(k)
 
 
 @pytest.mark.parametrize("k", range(2, 9))
 def test_cycle_cover_sums_count_pairings_of_every_subset(k):
-    covers = cycle_cover_sums(k, lambda a, side, b: np.ones((1, 1)))
+    covers = cycle_cover_sums(range(k), lambda side, gap: np.ones((1, 1)))
     assert covers[-1] == crossing_count(k)
     for subset, count in enumerate(covers):
         assert count == crossing_count(bin(subset).count("1")), subset
@@ -103,11 +103,13 @@ def test_cycle_cover_sums_count_pairings_of_every_subset(k):
 def test_cycle_cover_sums_float_links_match_1x1_links(k):
     # the float path multiplies in the same order as the 1x1 matrix path,
     # so every sum is the same double; side-dependent links tell the
-    # entry sides apart
-    rng = np.random.default_rng(k)
-    links = rng.uniform(-1.0, 1.0, size=(max(k, 1), 2, max(k, 1)))
-    matrices = cycle_cover_sums(k, lambda a, side, b: links[a, side, b : b + 1, None])
-    floats = cycle_cover_sums(k, lambda a, side, b: float(links[a, side, b]))
+    # entry sides apart, and windows at 2^i - 1 have distinct signed gaps,
+    # so links drawn at random per gap are drawn at random per pair
+    windows = [(1 << i) - 1 for i in range(k)]
+    span = max(windows, default=0)
+    links = np.random.default_rng(k).uniform(-1.0, 1.0, size=(2, 2 * span + 1))
+    matrices = cycle_cover_sums(windows, lambda side, gap: links[side, gap + span, None, None])
+    floats = cycle_cover_sums(windows, lambda side, gap: float(links[side, gap + span]))
     np.testing.assert_array_equal(floats, matrices)
     assert floats.shape == (1 << k,)
 
@@ -138,7 +140,7 @@ def test_subset_sums_is_the_zeta_transform(k):
 
 
 def test_enumerate_classes_edges_cover_all_intervals():
-    for c in enumerate_contraction_classes(3, (0, 2, 5)):
+    for c in enumerate_contraction_classes((0, 2, 5)):
         touched = {i for e in c.edges for (i, _) in e}
         assert touched == {0, 2, 5}
 

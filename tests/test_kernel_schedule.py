@@ -73,6 +73,14 @@ def test_unruh_temperature():
     assert unruh_temperature(inertial()) is None
 
 
+def test_kernel_limit_rejects_coincidence():
+    for kern in (WightmanKernel(inertial()), WightmanKernel(accelerated(0.1))):
+        with pytest.raises(ValueError, match="s = 0"):
+            kern.limit(0.0)
+        with pytest.raises(ValueError, match="s = 0"):
+            kern.limit(np.array([1.0, 0.0]))
+
+
 def test_kernel_limit_vectorized():
     k = WightmanKernel(inertial())
     s = np.array([1.0, 2.0, 4.0])

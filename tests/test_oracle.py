@@ -93,10 +93,10 @@ def test_corrections_are_central_differences_of_the_exact_step(make, env_dim):
     # q1 and q2 are the first derivative and half the second derivative of
     # the exact outcome probabilities in eps at eps = 0
     m = make(env_dim)
-    env, h = m.env_initial, 1e-4
+    h = 1e-4
     g_norm = float(np.linalg.norm(m.generators[0], 2))
-    p, q1, q2 = perturbative_corrections(m, 0, env)
-    plus, zero, minus = (exact_step_probability(m, 0, env, e) for e in (h, 0.0, -h))
+    p, q1, q2 = perturbative_corrections(m, 0)
+    plus, zero, minus = (exact_step_probability(m, 0, e) for e in (h, 0.0, -h))
     np.testing.assert_allclose(zero, p, rtol=0, atol=oracle.PROBABILITY_ROUNDOFF)
     np.testing.assert_allclose(q1, (plus - minus) / (2 * h), rtol=0, atol=1e-6 * g_norm)
     np.testing.assert_allclose(
@@ -110,7 +110,7 @@ def test_perturbative_corrections_stay_small_at_the_largest_environment():
     m = random_weak_model(env_dim=oracle.MAX_ENV_DIM, steps=1, epsilon=1e-3, seed=3)
     tracemalloc.start()
     try:
-        perturbative_corrections(m, 0, m.env_initial)
+        perturbative_corrections(m, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -119,7 +119,7 @@ def test_perturbative_corrections_stay_small_at_the_largest_environment():
 
 def test_perturbative_corrections_are_real_and_balanced():
     m = random_weak_model(env_dim=5, steps=2, epsilon=1e-3, seed=7)
-    p, q1, q2 = perturbative_corrections(m, 0, m.env_initial)
+    p, q1, q2 = perturbative_corrections(m, 0)
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
     # corrections only redistribute probability between the two outcomes
     assert q1.sum() == pytest.approx(0.0, abs=1e-10)
@@ -128,10 +128,10 @@ def test_perturbative_corrections_are_real_and_balanced():
 
 def test_perturbative_expansion_third_order_residual():
     m = random_weak_model(env_dim=5, steps=1, epsilon=1e-3, seed=8)
-    p, q1, q2 = perturbative_corrections(m, 0, m.env_initial)
+    p, q1, q2 = perturbative_corrections(m, 0)
 
     def residual(eps):
-        exact = exact_step_probability(m, 0, m.env_initial, eps)
+        exact = exact_step_probability(m, 0, eps)
         return abs(exact[1] - (p + eps * q1 + eps * eps * q2)[1])
 
     ratio = residual(1e-3) / residual(5e-4)
@@ -179,10 +179,10 @@ def test_model_guards():
         exact_string_prob(m, BitString(bits=(0, 0, 0)))  # more bits than steps
     # an uncoupled model has no corrections, at any coupling
     mi = iid_model(env_dim=4, steps=2, seed=10)
-    p, q1, q2 = perturbative_corrections(mi, 0, mi.env_initial)
+    p, q1, q2 = perturbative_corrections(mi, 0)
     assert np.all(q1 == 0.0) and np.all(q2 == 0.0)
     for eps in (0.0, 1e-3, 0.5, 3.0):
-        exact = exact_step_probability(mi, 0, mi.env_initial, eps)
+        exact = exact_step_probability(mi, 0, eps)
         np.testing.assert_allclose(exact, p, rtol=0, atol=1e-15)
 
 
@@ -351,19 +351,19 @@ def test_remainder_check_passes_and_a_wrong_q2_fails_on_seeds_0_to_399():
     mutant_fails = []
     for seed in range(400):
         mw = random_weak_model(env_dim=8, steps=2, epsilon=1e-3, seed=seed)
-        p, q1, q2 = perturbative_corrections(mw, 0, mw.env_initial)
-        check = remainder_check(mw, 0, mw.env_initial, 1e-3, corrections=(p, q1, q2))
+        p, q1, q2 = perturbative_corrections(mw, 0)
+        check = remainder_check(mw, 0, 1e-3, corrections=(p, q1, q2))
         assert check.passed, (seed, check)
-        mutant = remainder_check(mw, 0, mw.env_initial, 1e-3, corrections=(p, q1, 1.01 * q2))
+        mutant = remainder_check(mw, 0, 1e-3, corrections=(p, q1, 1.01 * q2))
         mutant_fails.append(not mutant.passed)
     assert all(mutant_fails)
 
 
 def test_remainder_check_differences_halve_and_double():
     mw = random_weak_model(env_dim=8, steps=2, epsilon=1e-3, seed=1)
-    p, q1, q2 = perturbative_corrections(mw, 0, mw.env_initial)
+    p, q1, q2 = perturbative_corrections(mw, 0)
     for scale, ratio in ((1.0, 0.5), (1.01, 2.0)):
-        check = remainder_check(mw, 0, mw.env_initial, 1e-3, corrections=(p, q1, scale * q2))
+        check = remainder_check(mw, 0, 1e-3, corrections=(p, q1, scale * q2))
         s = [r / e**3 for r, e in zip(check.residuals, check.epsilons)]
         d = np.diff(s)
         np.testing.assert_allclose(d[1:] / d[:-1], ratio, rtol=0.1)

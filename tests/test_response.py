@@ -17,6 +17,7 @@ from scipy.special import erfcx, zeta
 import udwrm
 from udwrm import (
     BitString,
+    BoundViolationError,
     CorrectionModel,
     DetectorParams,
     FiniteRmModel,
@@ -420,8 +421,9 @@ def test_f_fraction_triple_is_negative(full_model):
         ((0, 100), r"\[0, 8\)"),
         ((-3, -2), r"\[0, 8\)"),
         ((0, 0), "distinct"),
+        ((3,), "need at least two intervals"),
     ],
-    ids=["half-period", "bool", "past-the-schedule", "negative", "repeated"],
+    ids=["half-period", "bool", "past-the-schedule", "negative", "repeated", "single"],
 )
 def test_f_fraction_rejects_bad_windows_before_any_integral(
     windows, message, inertial_kernel, schedule, detector, monkeypatch
@@ -434,6 +436,13 @@ def test_f_fraction_rejects_bad_windows_before_any_integral(
     monkeypatch.setattr(model, "_subset_fractions", no_integral)
     with pytest.raises(ValueError, match=message):
         model.f_fraction(windows)
+
+
+def test_ratio_from_sums_rejects_a_non_positive_denominator():
+    # 1 + den = 0: history corrections that cancel the Born part leave no
+    # conditional probability to form
+    with pytest.raises(BoundViolationError, match="denominator"):
+        ratio_from_sums(1.0, -1.0, 0.0, 0.0)
 
 
 def test_f_fraction_accepts_numpy_integer_windows(full_model):
@@ -499,7 +508,7 @@ def reference_fraction(model, gaps, order=32):
     ends, weight = _window_points(sched, model.detector, order)
     index = {g: "abcdef"[i] for i, g in enumerate(gaps)}
     total = 0.0
-    for cls in enumerate_contraction_classes(len(gaps), gaps):
+    for cls in enumerate_contraction_classes(gaps):
         subscripts = [index[g] for g in gaps]
         operands = [weight] * len(gaps)
         for (ga, sa), (gb, sb) in cls.edges:
@@ -508,7 +517,7 @@ def reference_fraction(model, gaps, order=32):
                 kern.limit(sched.t * (ga - gb) + ends[sa][:, None] - ends[sb][None, :])
             )
         total += np.einsum(",".join(subscripts) + "->", *operands, optimize=True)
-    return total / model.calq ** len(gaps)
+    return total / calQ(model.kernel, model.schedule, model.detector) ** len(gaps)
 
 
 @pytest.mark.parametrize("gaps", [(0, 1), (0, 2), (0, 3), (0, 1, 2), (0, 1, 3)])
@@ -641,8 +650,8 @@ def class_value(model, cls):
 def enumerated_fraction(model, gaps):
     """The correction fraction as a sum over the enumerated classes, at the
     model's one Chebyshev resolution."""
-    classes = enumerate_contraction_classes(len(gaps), gaps)
-    return math.fsum(class_value(model, cls) for cls in classes) / model.calq ** len(gaps)
+    classes = enumerate_contraction_classes(gaps)
+    return math.fsum(class_value(model, cls) for cls in classes) / calQ(model.kernel, model.schedule, model.detector) ** len(gaps)
 
 
 @pytest.mark.parametrize("k", range(2, CONTRACTION_ENUM_MAX + 1))
@@ -885,6 +894,16 @@ def test_import_skips_unused_module(module):
             [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
         )
         assert out.stdout.strip() == "False", entry
+
+
+def test_every_export_resolves():
+    # a name removed from the package must leave __all__ with it
+    assert len(set(udwrm.__all__)) == len(udwrm.__all__)
+    for name in udwrm.__all__:
+        assert hasattr(udwrm, name), name
+    namespace = {}
+    exec("from udwrm import *", namespace)
+    assert set(udwrm.__all__) <= namespace.keys()
 
 
 NO_NUMPY_MA_SCRIPT = """
