@@ -19,7 +19,7 @@ import numpy as np
 
 from .combinatorics import MAX_WINDOWS, cycle_cover_sums
 from .kernel import WightmanKernel
-from .response import HistoryRecord
+from .response import _TINY, HistoryRecord, _log_correlator_bound
 from .schedule import RepetitionSchedule
 
 #: n_limit's scan stops here, with a warning, if no horizon is met first.
@@ -83,8 +83,17 @@ class GammaProfile:
         of two windows g apart over its value at one window length, for
         g = 1 .. max(MONOTONICITY_SEPARATIONS, repetitions - 1)."""
         g = np.arange(1, max(MONOTONICITY_SEPARATIONS, sched.repetitions - 1) + 1)
+        s = sched.t * g - sched.t_on
         reference = abs(kern.limit(sched.t_on))
-        return cls(np.abs(kern.limit(sched.t * g - sched.t_on)) / reference)
+        # where |K(T_on)| is subnormal or 0 (alpha T_on >~ 700) the quotient
+        # is taken in logs, where neither correlator underflows; a quotient
+        # past the largest double is inf, which the table rejects
+        with np.errstate(over="ignore"):
+            if reference >= _TINY:
+                return cls(np.abs(kern.limit(s)) / reference)
+            return cls(
+                np.exp(_log_correlator_bound(kern, s) - _log_correlator_bound(kern, sched.t_on))
+            )
 
     @property
     def gamma(self) -> float:

@@ -11,11 +11,12 @@ any subcommand runs, whichever subcommand that is; a subcommand checks only
 what depends on another value.
 
 Every CSV starts with a comment line recording the SHA-256 of the canonical
-config, the seed and the package version, followed by a header row; floats carry 17 significant
-digits so reruns are byte-identical.  The CSV is csv.writer's excel dialect,
-written a block of rows at a time: consecutive rows of ints and floats with
-one type signature take one %-format per block, any other row is quoted
-field by field.
+config, the seed and the package version, followed by a header row; floats
+carry 17 significant digits so reruns are byte-identical.  Each run of rows
+with one type signature is written with one %-format, "%.16e" for a float
+field and "%s" for any other.  No field of any table holds a comma, a quote
+or a line break, so none is quoted, and the CSV is csv.writer's excel
+dialect.
 
 ``main`` may be called many times in one process (the benchmark does): the
 parser is built on the first call and reused.
@@ -29,7 +30,6 @@ import hashlib
 import itertools
 import json
 import math
-import re
 import sys
 
 import numpy as np
@@ -69,47 +69,16 @@ def _fmt(x) -> str:
     return "%.16e" % x if isinstance(x, float) else str(x)
 
 
-# a field holding one of these is quoted, as csv.writer's default dialect does
-_CSV_QUOTED = re.compile('[,"\r\n]')
-
-
-def _csv_field(x) -> str:
-    s = _fmt(x)
-    return '"' + s.replace('"', '""') + '"' if _CSV_QUOTED.search(s) else s
-
-
-def _csv_line(row) -> str:
-    """One record as csv.writer (excel dialect) writes the row's _fmt
-    strings, built with one join."""
-    line = ",".join(map(_csv_field, row))
-    # csv.writer writes a lone empty field as "", not as a blank line
-    return ('""' if line == "" and len(row) == 1 else line) + "\r\n"
-
-
-# the %-format of each numeric field type; none of them is ever quoted
-_NUMERIC_SPEC = {float: "%.16e", np.float64: "%.16e", int: "%s", np.int64: "%s"}
-# rows per block of _csv_text: big enough that a block's %-format costs
+# rows per string of _csv_text: big enough that a string's %-format costs
 # little per field, small enough that no whole table is held as one string
 _BLOCK_ROWS = 256
 
 
-@functools.cache
-def _block_line(types: tuple) -> str | None:
-    """The %-format of one record whose fields have these types, or None
-    where a field is not numeric or the row has fewer than two fields."""
-    if len(types) < 2 or not all(t in _NUMERIC_SPEC for t in types):
-        return None
-    return ",".join(map(_NUMERIC_SPEC.__getitem__, types)) + "\r\n"
-
-
 def _csv_text(rows):
-    """The records of ``rows`` as _csv_line writes them, in strings of at
-    most _BLOCK_ROWS records: each block of consecutive numeric rows with
-    one type signature takes one %-format, any other row its _csv_line."""
-    for line, group in itertools.groupby(rows, lambda row: _block_line(tuple(map(type, row)))):
-        if line is None:
-            yield from map(_csv_line, group)
-            continue
+    """The CSV records of ``rows`` in strings of at most _BLOCK_ROWS records:
+    each run of rows with one type signature takes one %-format."""
+    for types, group in itertools.groupby(rows, lambda row: tuple(map(type, row))):
+        line = ",".join("%.16e" if issubclass(t, float) else "%s" for t in types) + "\r\n"
         while block := list(itertools.islice(group, _BLOCK_ROWS)):
             yield (line * len(block)) % tuple(itertools.chain.from_iterable(block))
 
@@ -408,42 +377,41 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+
+    def usage_error(message: str) -> int:
+        parser.print_usage(sys.stderr)
+        print(f"{parser.prog}: {message}", file=sys.stderr)
+        return 2
+
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2
     if args.command != "combinatorics" and not args.config:
-        parser.print_usage(sys.stderr)
-        print(f"{parser.prog}: the {args.command} subcommand needs --config", file=sys.stderr)
-        return 2
+        return usage_error(f"the {args.command} subcommand needs --config")
     config = {}
     if args.config:
         try:
             with open(args.config) as fh:
                 text = fh.read().strip()
             if not text:
-                parser.print_usage(sys.stderr)
-                print(f"{parser.prog}: config file is empty", file=sys.stderr)
-                return 2
+                return usage_error("config file is empty")
             config = json.loads(text)
         except (OSError, json.JSONDecodeError) as exc:
-            parser.print_usage(sys.stderr)
-            print(f"{parser.prog}: bad config: {exc}", file=sys.stderr)
-            return 2
+            return usage_error(f"bad config: {exc}")
         if not config and args.command != "combinatorics":
-            parser.print_usage(sys.stderr)
-            print(f"{parser.prog}: config has no settings", file=sys.stderr)
-            return 2
+            return usage_error("config has no settings")
     try:
         header, rows = _COMMANDS[args.command](args, _settings(config))
         _emit(header, rows, args, config)
         return 0
     except ConfigError as exc:
-        parser.print_usage(sys.stderr)
-        print(f"{parser.prog}: bad config: {exc}", file=sys.stderr)
-        return 2
+        return usage_error(f"bad config: {exc}")
     except (ValueError, RuntimeError) as exc:
         print(f"{parser.prog}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        # _emit opens the one file written: --out
+        return usage_error(f"cannot write output: {exc}")
 
 
 if __name__ == "__main__":

@@ -69,25 +69,21 @@ class WightmanKernel:
         """
         if epsilon <= 0:
             raise ValueError("epsilon must be > 0")
-        z = np.asarray(s, dtype=float) - 1j * epsilon
-        if self.worldline.kind == "inertial":
-            return -1.0 / (TWO_PI**2) / (z * z)
-        a = self.worldline.alpha
-        # sinh^-2(x) = 4 e^-2x / (1 - e^-2x)^2 is even; at Re x >= 0 this form
-        # neither overflows far out nor loses digits near 0
-        x = 0.5 * a * np.where(z.real < 0.0, -z, z)
-        return -(a**2) / (TWO_PI**2) * np.exp(-2.0 * x) / np.expm1(-2.0 * x) ** 2
+        return self._at(np.asarray(s, dtype=float) - 1j * epsilon)
 
     def limit(self, s):
         """Unregularized correlator at s != 0 (real, negative)."""
         s = np.asarray(s, dtype=float)
         if np.any(s == 0.0):
             raise ValueError("limit undefined at s = 0")
+        return self._at(s)
+
+    def _at(self, z):
+        """The correlator at z, real or complex, off its poles."""
         if self.worldline.kind == "inertial":
-            return -1.0 / (TWO_PI**2) / (s * s)
+            return -1.0 / (TWO_PI**2) / (z * z)
         a = self.worldline.alpha
-        # far out sinh^2 overflows to inf and the correlator to -0, which
-        # it is to double precision
-        with np.errstate(over="ignore"):
-            sh = np.sinh(0.5 * a * s)
-            return -(a**2) / (4.0 * TWO_PI**2) / (sh * sh)
+        # sinh^-2(x) = 4 e^-2x / (1 - e^-2x)^2 is even; at Re x >= 0 this form
+        # neither overflows far out (it is -0 there) nor loses digits near 0
+        x = 0.5 * a * np.where(z.real < 0.0, -z, z)
+        return -(a**2) / (TWO_PI**2) * np.exp(-2.0 * x) / np.expm1(-2.0 * x) ** 2

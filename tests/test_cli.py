@@ -64,6 +64,17 @@ def test_empty_config_file_exits_2(tmp_path, capsys, text):
     assert out == ""
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_exits_2_naming_the_path(tmp_path, capsys, where):
+    target = tmp_path / "missing" / "table.csv" if where == "missing-directory" else tmp_path
+    code, out, err = run(capsys, "combinatorics", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    (line,) = [line for line in err.splitlines() if line.startswith("udwrm:")]
+    assert line.startswith("udwrm: cannot write output: ") and str(target) in line
+    assert "Traceback" not in err
+
+
 def test_library_error_exits_1_naming_its_type(tmp_path, capsys):
     # at T_off = 0.01 T_on the correlator across adjacent windows needs more
     # Chebyshev nodes than MAX_RESOLUTION: a library error, not a config error
@@ -157,8 +168,6 @@ def test_csv_rows_match_csv_writer(tmp_path):
         [0.1, np.float64(1.0 / 3.0), 7, True],
         [-0.0, np.float64("nan"), float("inf"), np.float64("-inf")],
         [1e-310, np.float64(2.5e300), -(10**20), False],
-        ["", 'a, "quoted"\nline', "a\rb", "plain"],
-        [""],
         [],
         # numeric runs, one longer than a block, whose type signature
         # switches mid-table, and numeric rows broken by other rows
@@ -185,8 +194,59 @@ def test_csv_rows_match_csv_writer(tmp_path):
     for row in [header, *rows]:
         writer.writerow([format(v, ".16e") if isinstance(v, float) else str(v) for v in row])
     assert table == buf.getvalue().encode()
-    assert b'"a, ""quoted""\nline","a\rb"' in table
     assert b"\r\n1,2.0000000000000000e+00,True\r\n" in table
+
+
+def readme_config():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    (config,) = re.findall(r"```json\n(.*?)```", open(readme).read(), re.S)
+    return json.loads(config)
+
+
+# the README example and the two configs the CI runs every subcommand on
+DIALECT_CONFIGS = {
+    "readme": readme_config(),
+    "cli-config": {
+        "detector": {"omega": 0.2, "lambda": 0.01},
+        "worldline": {"kind": "accelerated", "alpha": 0.1},
+        "schedule": {"sigma": 1.0, "repetitions": 12},
+        "strings": {"length": 10},
+        "bounds": {"q": 0.1, "gamma": 0.01},
+        "oracle": {"env_dim": 8, "length": 8},
+        "bayes": {"bits": [0, 1, 0, 0, 0, 1], "epsilon": 0.0, "chunk": 2},
+    },
+    "short-gap": {
+        "worldline": {"kind": "accelerated", "alpha": 0.5},
+        "schedule": {"sigma": 2.25, "repetitions": 4, "t_off_factor": 0.5},
+        "strings": {"length": 4},
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "name, command",
+    [
+        (name, command)
+        for name, config in DIALECT_CONFIGS.items()
+        for command in cli._COMMANDS
+        # bayes needs a record of bits
+        if command != "bayes" or "bayes" in config
+    ],
+)
+def test_every_table_is_csv_writers_dialect_unquoted(tmp_path, capsys, name, command):
+    """Each CSV is what csv.writer writes for its own parsed rows, and no
+    field holds a character that csv.writer would quote."""
+    cfg = write_config(tmp_path, DIALECT_CONFIGS[name])
+    code, out, err = run(capsys, command, "--config", cfg)
+    assert (code, err) == (0, "")
+    meta, _, table = out.partition("\n")
+    assert meta.startswith("# config_sha256=")
+    rows = list(csv.reader(io.StringIO(table, newline="")))
+    assert len(rows) >= 2
+    again = io.StringIO(newline="")
+    csv.writer(again).writerows(rows)
+    assert again.getvalue() == table
+    assert not [field for row in rows for field in row if re.search('[,"\r\n]', field)]
 
 
 def test_parser_is_reused_across_calls(tmp_path, capsys):
@@ -326,6 +386,42 @@ def test_string_probs_at_zero_gamma_writes_unit_ratio_bounds(tmp_path, capsys, a
     rows = list(csv.DictReader(out.splitlines()[1:]))
     assert len(rows) == 16
     assert all(float(r["ratio_lower"]) == float(r["ratio_upper"]) == 1.0 for r in rows)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", [90.0, 120.0])
+def test_gamma_is_0_where_the_reference_correlator_underflows(tmp_path, capsys, alpha):
+    # alpha T_on = 720 and 960: |K(T_on)| is subnormal or 0, as is every
+    # |K(T g - T_on)|; their quotient, taken in logs, is exactly 0
+    kern = udwrm.WightmanKernel(udwrm.accelerated(alpha))
+    sched = udwrm.default_schedule()
+    assert abs(kern.limit(sched.t_on)) < np.finfo(float).tiny
+    assert udwrm.GammaProfile.from_kernel(kern, sched).gamma == 0.0
+    config = {"worldline": {"kind": "accelerated", "alpha": alpha}, "strings": {"length": 4}}
+    code, out, err = run(capsys, "string-probs", "--config", write_config(tmp_path, config))
+    assert (code, err) == (0, "")
+    rows = list(csv.DictReader(out.splitlines()[1:]))
+    assert len(rows) == 16
+    assert all(float(r["ratio_lower"]) == float(r["ratio_upper"]) == 1.0 for r in rows)
+
+
+@pytest.mark.filterwarnings("error")
+def test_gamma_above_1_where_both_correlators_underflow_gives_no_bound(tmp_path, capsys):
+    # alpha = 200, T_off = T_on / 2: both correlators underflow to 0, and
+    # gamma_1 = e^800 overflows to inf, silently, so no loose bound exists
+    kern = udwrm.WightmanKernel(udwrm.accelerated(200.0))
+    with pytest.raises(ValueError, match="finite"):
+        udwrm.GammaProfile.from_kernel(kern, udwrm.default_schedule(t_off_factor=0.5))
+    config = {
+        "worldline": {"kind": "accelerated", "alpha": 200.0},
+        "schedule": {"t_off_factor": 0.5},
+        "strings": {"length": 4},
+    }
+    code, out, err = run(capsys, "string-probs", "--config", write_config(tmp_path, config))
+    assert (code, err) == (0, "")
+    rows = list(csv.DictReader(out.splitlines()[1:]))
+    assert len(rows) == 16
+    assert all(r["ratio_lower"] == r["ratio_upper"] == "nan" for r in rows)
 
 
 @pytest.mark.parametrize("length", [2, 4, 5, 8])
