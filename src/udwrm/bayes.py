@@ -127,13 +127,15 @@ def posterior_trace(
     """
     w = prior._weights
     h = np.stack([prior.h1, prior.h2])
-    likelihoods: dict[BitString, np.ndarray] = {}
+    # keyed by the bits, whose equality is the strings': a tuple hashes in C,
+    # the dataclass's generated __hash__ in Python
+    likelihoods: dict[tuple[int, ...], np.ndarray] = {}
     masses = []
     evidence = 1.0  # trapezoid mass of h
     for b in strings:
-        like = likelihoods.get(b)
+        like = likelihoods.get(b.bits)
         if like is None:
-            like = likelihoods[b] = np.stack(_likelihoods(prior.q, b, m))
+            like = likelihoods[b.bits] = np.stack(_likelihoods(prior.q, b, m))
         h *= like
         mass1, mass2 = (h @ w).tolist()
         evidence = mass1 + mass2

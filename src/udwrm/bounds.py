@@ -133,18 +133,37 @@ def _check_q_gamma(q: float, gamma: float) -> None:
         raise ValueError("q must lie in (0, 1) and gamma in [0, 1)")
 
 
+def loose_bound_rows(q: float, gamma: float, n_max: int | None) -> list[tuple[float, float]]:
+    """(lower, upper) of the loose bounds for n = 1, 2, ... in one pass over
+    the parity sums, each checked lower <= upper as a BoundPair is.
+
+    The rows stop before the first n at which the bounds are undefined (see
+    ``loose_bounds``), and after n = n_max; with n_max None, after the
+    horizon n = n_limit(q, gamma) instead, found by the same test in the
+    same pass.
+    """
+    _check_q_gamma(q, gamma)
+    rows = []
+    sums = _parity_sums(gamma) if n_max is None else itertools.islice(_parity_sums(gamma), n_max)
+    for n, (e_prev, o_prev, e, o) in enumerate(sums, start=1):
+        if o_prev >= 1.0 or o > 1.0:
+            break
+        lower, upper = q * (1.0 - o) / (1.0 + e_prev), q * (1.0 + e) / (1.0 - o_prev)
+        if lower > upper:
+            raise ValueError(f"lower {lower} exceeds upper {upper}")
+        rows.append((lower, upper))
+        if n_max is None and (o >= 1.0 or upper >= 1.0):
+            break
+        if n_max is None and n == N_LIMIT_CAP:
+            warnings.warn(f"validity horizon exceeds the search cap {N_LIMIT_CAP}", stacklevel=2)
+            break
+    return rows
+
+
 def loose_bound_scan(q: float, gamma: float, n_max: int) -> list[BoundPair]:
     """Loose bounds for n = 1 .. n_max in one pass, stopping before the
     first n at which they are undefined (see ``loose_bounds``)."""
-    _check_q_gamma(q, gamma)
-    out = []
-    for e_prev, o_prev, e, o in itertools.islice(_parity_sums(gamma), n_max):
-        if o_prev >= 1.0 or o > 1.0:
-            break
-        out.append(
-            BoundPair(q * (1.0 - o) / (1.0 + e_prev), q * (1.0 + e) / (1.0 - o_prev), "loose")
-        )
-    return out
+    return [BoundPair(lower, upper, "loose") for lower, upper in loose_bound_rows(q, gamma, n_max)]
 
 
 def loose_bounds(n: int, q: float, gamma: float) -> BoundPair:

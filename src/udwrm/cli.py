@@ -11,7 +11,9 @@ any subcommand runs, whichever subcommand that is; a subcommand checks only
 what depends on another value.
 
 Every CSV starts with a comment line recording the SHA-256 of the canonical
-config, the seed and the package version, followed by a header row; floats
+config (by CPython's own hash module where it has one, so that a process
+that draws no oracle model never loads OpenSSL), the seed and the package
+version, followed by a header row; floats
 carry 17 significant digits so reruns are byte-identical.  Each run of rows
 with one type signature is written with one %-format, "%.16e" for a float
 field and "%s" for any other.  No field of any table holds a comma, a quote
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import itertools
 import json
 import math
@@ -34,9 +35,20 @@ import sys
 
 import numpy as np
 
+# CPython's own SHA-256 (``_sha2`` from 3.12, ``_sha256`` before), not
+# hashlib's, which maps OpenSSL's libcrypto (megabytes of resident set) for
+# this one digest; the digest is the same.
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:  # a build whose hashes all come from OpenSSL
+        from hashlib import sha256
+
 from . import __version__
 from .bayes import CorrectionModel, Posterior, delta_p_first_order, posterior_trace
-from .bounds import GammaProfile, loose_bound_scan, n_limit
+from .bounds import GammaProfile, loose_bound_rows, loose_bound_scan
 from .combinatorics import (
     MAX_WINDOWS,
     crossing_count,
@@ -85,7 +97,7 @@ def _csv_text(rows):
 
 def _config_hash(config: dict) -> str:
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return sha256(canonical.encode()).hexdigest()
 
 
 def _emit(header, rows, args, config) -> None:
@@ -283,13 +295,12 @@ def _cmd_string_probs(args, settings):
 
 def _cmd_bounds(args, settings):
     q, gamma, n_max = (settings["bounds"][key] for key in ("q", "gamma", "n_max"))
-    if n_max is None:
-        n_max = n_limit(q, gamma) + 1
     # row n reports the bound certified before the n-th outcome, i.e. for
-    # the n-1 windows already recorded (the published horizon axis)
+    # the n-1 windows already recorded (the published horizon axis); by
+    # default the rows run to n_limit(q, gamma) + 1
+    table = loose_bound_rows(q, gamma, None if n_max is None else n_max - 1)
     rows = [[1, q, q, q]]
-    for n, bp in enumerate(loose_bound_scan(q, gamma, n_max - 1), start=2):
-        rows.append([n, bp.lower, bp.upper, q])
+    rows += ([n, lower, upper, q] for n, (lower, upper) in enumerate(table, start=2))
     return ["n", "lower", "upper", "q"], rows
 
 

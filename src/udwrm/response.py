@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .combinatorics import MAX_WINDOWS, cycle_cover_sums, subset_sums
 from .kernel import TWO_PI, WightmanKernel
@@ -152,11 +151,42 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
 
+def _legendre_series(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_k c[k] P_k(x) by Clenshaw's recurrence, in numpy's ``legval``
+    order of operations."""
+    if len(c) == 1:
+        return c[0] + 0 * x
+    c0, c1 = c[-2], c[-1]
+    for nd in range(len(c) - 1, 1, -1):
+        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss-Legendre nodes and weights on [-1, 1], built once and
-    shared, hence read-only."""
-    x, w = leggauss(n)
+    shared, hence read-only.
+
+    numpy's ``leggauss`` step for step, so the same bits without importing
+    ``numpy.polynomial``: the eigenvalues of the symmetric Legendre
+    companion matrix (Golub & Welsch), one Newton step on P_n, weights
+    1 / (P_{n-1} P_n') each scaled by its largest modulus, then both
+    symmetrised and the weights normalised to sum 2.
+    """
+    scale = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    off = np.arange(1, n) * scale[:-1] * scale[1:]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    k = np.arange(n)
+    dc = np.where(k % 2 == (n - 1) % 2, 2.0 * k + 1.0, 0.0)  # P_n' in Legendre terms
+    df = _legendre_series(x, dc)
+    x = x - _legendre_series(x, c) / df
+    fm = _legendre_series(x, c[1:])
+    w = 1.0 / ((fm / np.abs(fm).max()) * (df / np.abs(df).max()))
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
@@ -323,6 +353,9 @@ def calQ(kern: WightmanKernel, sched: RepetitionSchedule, d: DetectorParams) -> 
 #: Most Chebyshev nodes p per window: a model whose correlator needs more
 #: raises QuadratureError before any correction integral.
 MAX_RESOLUTION = 96
+#: Orders per block of ``_chebyshev_resolution``'s scan: the README models
+#: fit in the first block, so no bound of a higher order is formed.
+_RESOLUTION_BLOCK = 16
 
 
 def _log_correlator_bound(kern: WightmanKernel, s) -> np.ndarray:
@@ -380,18 +413,21 @@ def _chebyshev_resolution(kern: WightmanKernel, sched: RepetitionSchedule) -> tu
     underflows, and tau is relative to the floor.  M(r) / kappa_g falls with
     g for both kernels, so tau bounds the relative tail of every gap.  A
     model that needs more than MAX_RESOLUTION nodes raises QuadratureError.
+    The orders are bounded _RESOLUTION_BLOCK at a time, from p = 2 up, until
+    a block holds a fit.
     """
-    orders = np.arange(2, MAX_RESOLUTION + 1)
     scale = max(float(_log_correlator_bound(kern, sched.t - sched.t_on)), math.log(_TINY))
-    log_tau = _log_interpolation_bound(kern, sched, 1, orders) - scale
-    (fits,) = np.nonzero(log_tau <= math.log(_EPS))
-    if not fits.size:
-        raise QuadratureError(
-            f"the correlator across adjacent windows (T / T_on = {sched.t / sched.t_on:g}) "
-            f"needs more than {MAX_RESOLUTION} Chebyshev nodes: the interpolation bound at "
-            f"p = {MAX_RESOLUTION} is {math.exp(log_tau[-1]):g} of the correlator"
-        )
-    return int(orders[fits[0]]), math.exp(log_tau[fits[0]])
+    for start in range(2, MAX_RESOLUTION + 1, _RESOLUTION_BLOCK):
+        orders = np.arange(start, min(start + _RESOLUTION_BLOCK, MAX_RESOLUTION + 1))
+        log_tau = _log_interpolation_bound(kern, sched, 1, orders) - scale
+        (fits,) = np.nonzero(log_tau <= math.log(_EPS))
+        if fits.size:
+            return int(orders[fits[0]]), math.exp(log_tau[fits[0]])
+    raise QuadratureError(
+        f"the correlator across adjacent windows (T / T_on = {sched.t / sched.t_on:g}) "
+        f"needs more than {MAX_RESOLUTION} Chebyshev nodes: the interpolation bound at "
+        f"p = {MAX_RESOLUTION} is {math.exp(log_tau[-1]):g} of the correlator"
+    )
 
 
 def _chebyshev_basis(p: int, t_on: float, x) -> np.ndarray:

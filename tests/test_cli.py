@@ -494,7 +494,7 @@ def test_bad_config_value_exits_2_naming_the_key(
         raise AssertionError("work started before the config was validated")
 
     monkeypatch.setattr(udwrm.oracle, "expm_hermitian", no_work)
-    monkeypatch.setattr("udwrm.cli.n_limit", no_work)
+    monkeypatch.setattr("udwrm.cli.loose_bound_rows", no_work)
     for value in bad_values:
         cfg = write_config(tmp_path, {section: {key: value}})
         code, out, err = run(capsys, command, "--config", cfg)
@@ -910,3 +910,49 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
         ["transition", "oracle", "bounds", "bayes", "string-probs", "combinatorics"], 0
     ), proc.stderr
     assert report["loaded"] == []
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {},
+        readme_config(),
+        FULL_CONFIG,
+        {"bayes": {"bits": [int(i % 7 == 3) for i in range(4000)], "chunk": 1, "epsilon": 1e-3}},
+    ],
+    ids=["empty", "readme", "full", "bayes-4000"],
+)
+def test_config_hash_is_hashlib_sha256(config):
+    import hashlib
+
+    canonical = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
+    assert cli._config_hash(config) == hashlib.sha256(canonical).hexdigest()
+
+
+# One string-probs run in a fresh interpreter, then the loaded modules.
+MODULES_SCRIPT = """
+import sys
+from udwrm.cli import main
+
+assert main(["string-probs", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+print(" ".join(sorted(sys.modules)))
+"""
+
+
+def test_string_probs_loads_neither_openssl_nor_numpy_polynomial(tmp_path):
+    import importlib.util
+
+    src = os.path.dirname(os.path.dirname(udwrm.__file__))
+    cfg = write_config(tmp_path, readme_config())
+    proc = subprocess.run(
+        [sys.executable, "-c", MODULES_SCRIPT, cfg, str(tmp_path / "out.csv")],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert [m for m in loaded if m == "numpy.polynomial" or m.startswith("numpy.polynomial.")] == []
+    # only a build without CPython's own SHA-256 module takes hashlib's
+    if any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+        assert "_hashlib" not in loaded

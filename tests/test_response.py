@@ -45,6 +45,7 @@ from udwrm.response import (
     _chebyshev_basis,
     _chebyshev_nodes,
     _chebyshev_resolution,
+    _gauss_legendre,
     _geometric_edges,
     _log_correlator_bound,
     _log_interpolation_bound,
@@ -284,6 +285,21 @@ def test_panel_quadrature_raises_when_orders_run_out():
     assert abs(value - math.expm1(2.0)) <= err
     with pytest.raises(QuadratureError, match="did not converge"):
         _panel_quadrature(lambda s: 1.0 / np.sqrt(s), [0.0, 1.0])
+
+
+def test_gauss_legendre_is_numpys_rule():
+    # the same steps as numpy's leggauss (bit for bit on numpy 2.4), and a
+    # Gauss rule: n nodes integrate x^k, k <= 2n - 1, over [-1, 1] to within
+    # the rounding of nodes each a few ulp off, about n eps
+    for n in range(1, 257):
+        x, w = _gauss_legendre(n)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+        np.testing.assert_array_max_ulp(x, ref_x, maxulp=2)
+        np.testing.assert_array_max_ulp(w, ref_w, maxulp=2)
+        k = np.arange(2 * n)
+        exact = np.where(k % 2 == 0, 2.0 / (k + 1), 0.0)
+        moments = w @ np.vander(x, 2 * n, increasing=True)
+        assert np.all(np.abs(moments - exact) <= 4 * n * EPS), n
 
 
 def test_q_direct_matches_closed_form(inertial_kernel, schedule, detector):
@@ -734,10 +750,42 @@ TESTED_WINDOWS = [
 @pytest.mark.parametrize("alpha, sigma, t_off_factor", TESTED_WINDOWS)
 def test_resolution_fits_every_tested_schedule(alpha, sigma, t_off_factor):
     kern = WightmanKernel(inertial() if alpha is None else accelerated(alpha))
-    p, tau = _chebyshev_resolution(kern, default_schedule(sigma=sigma, t_off_factor=t_off_factor))
+    sched = default_schedule(sigma=sigma, t_off_factor=t_off_factor)
+    p, tau = _chebyshev_resolution(kern, sched)
     assert 2 <= p <= MAX_RESOLUTION
     # where even the floored bound underflows (alpha 20), tau is 0
     assert 0.0 <= tau <= EPS
+    # the scan stops at the first block that fits, with the full table's fit
+    assert (p, tau) == resolution_by_full_table(kern, sched)
+
+
+def resolution_by_full_table(kern, sched):
+    """(p, tau) from the bound at every order 2 .. MAX_RESOLUTION at once;
+    p is None, and tau the bound at MAX_RESOLUTION, where none fits."""
+    orders = np.arange(2, MAX_RESOLUTION + 1)
+    floor = math.log(np.finfo(float).tiny)
+    scale = max(float(_log_correlator_bound(kern, sched.t - sched.t_on)), floor)
+    log_tau = _log_interpolation_bound(kern, sched, 1, orders) - scale
+    (fits,) = np.nonzero(log_tau <= math.log(EPS))
+    if not fits.size:
+        return None, math.exp(log_tau[-1])
+    return int(orders[fits[0]]), math.exp(log_tau[fits[0]])
+
+
+@pytest.mark.parametrize("t_off_factor", [1e-4, 0.02])
+def test_resolution_raises_quoting_the_bound_at_max_resolution(t_off_factor):
+    kern = WightmanKernel(inertial())
+    sched = default_schedule(t_off_factor=t_off_factor)
+    p, tau = resolution_by_full_table(kern, sched)
+    assert p is None
+    message = (
+        f"the correlator across adjacent windows (T / T_on = {sched.t / sched.t_on:g}) "
+        f"needs more than {MAX_RESOLUTION} Chebyshev nodes: the interpolation bound at "
+        f"p = {MAX_RESOLUTION} is {tau:g} of the correlator"
+    )
+    with pytest.raises(QuadratureError) as info:
+        _chebyshev_resolution(kern, sched)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("t_off_factor", [0.5, 2.0, 10.0])
